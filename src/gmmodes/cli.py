@@ -61,19 +61,6 @@ class RunConfig:
         )
 
 
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("GMM_MODES_THREADS")
-    if not cap:
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=int(cap))
-    except Exception:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
 def _envelope(config: RunConfig, payload: dict) -> dict:
     return {
         "tool": "gmmodes",
@@ -369,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -87,10 +87,6 @@ class IllConditioned(GmModesError):
     pass
 
 
-class NoConvergence(GmModesError):
-    pass
-
-
 class TooFewSamples(GmModesError):
     pass
 

@@ -1,22 +1,28 @@
 """Gaussian mixture representation and stable density evaluation.
 
 A :class:`Mixture` is a convex combination of Gaussian components. Each
-component caches the lower Cholesky factor of its covariance at
-construction; every quadratic form and precision application goes through
-triangular solves of that factor, never an explicitly formed inverse of
-the covariance in a quadratic form. Density, gradient and Hessian are
-accumulated in a max-shifted log scale so that mixtures whose component
-peak heights differ by hundreds of orders of magnitude (normal variances
-as small as ~1e-9) still evaluate without overflow or underflow.
+component is stored in one numerical form, its whitening factor
+W = L^{-1} (the inverse of the lower Cholesky factor of its covariance):
+quadratic forms are sums of squares ||W (x - mu)||^2, never an explicit
+precision inside a quadratic form, and precisions are formed as W^T W
+where a step needs them. Density, gradient and Hessian are accumulated
+in a max-shifted log scale so that mixtures whose component peak heights
+differ by hundreds of orders of magnitude (normal variances as small as
+~1e-9) still evaluate without overflow or underflow.
+
+:func:`derivatives` is the batched kernel: log-density, responsibilities,
+grad f / f and Hess f / f for all rows of an (m, d) array from one
+:meth:`Mixture.log_terms` call. :func:`evaluate` is its one-point form.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -31,7 +37,9 @@ __all__ = [
     "GaussianComponent",
     "Mixture",
     "EvalResult",
+    "Derivatives",
     "make_mixture",
+    "derivatives",
     "evaluate",
     "affine_transform",
     "is_homoscedastic",
@@ -54,20 +62,23 @@ _WEIGHT_SUM_TOL = 1e-9
 class GaussianComponent:
     """One weighted Gaussian term of a mixture.
 
-    ``chol`` is the lower Cholesky factor of ``cov`` and ``log_norm`` the
-    cached log-normalizer -0.5*log det(2*pi*cov). Instances are immutable;
-    arrays are never written after construction.
+    ``log_norm`` is the cached log-normalizer -0.5*log det(2*pi*cov).
+    Instances are immutable; arrays are never written after construction.
     """
 
     weight: float
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray = field(repr=False)
     log_norm: float = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor of ``cov``, factored on access."""
+        return cholesky(self.cov, lower=True)
 
 
 @dataclass(frozen=True)
@@ -82,8 +93,7 @@ class Mixture:
     components: tuple[GaussianComponent, ...]
     # Stacked per-component arrays for vectorized evaluation.
     _means: np.ndarray = field(repr=False)       # (k, d)
-    _chols: np.ndarray = field(repr=False)       # (k, d, d) lower
-    _precisions: np.ndarray = field(repr=False)  # (k, d, d)
+    _whitens: np.ndarray = field(repr=False)     # (k, d, d) lower, L^{-1}
     _log_weights: np.ndarray = field(repr=False)  # (k,)
     _log_norms: np.ndarray = field(repr=False)    # (k,)
 
@@ -103,6 +113,12 @@ class Mixture:
     def covariances(self) -> np.ndarray:
         return np.stack([c.cov for c in self.components])
 
+    @property
+    def _precisions(self) -> np.ndarray:
+        """Component precisions W^T W, shape (k, d, d), exactly symmetric."""
+        P = np.swapaxes(self._whitens, 1, 2) @ self._whitens
+        return 0.5 * (P + np.swapaxes(P, 1, 2))
+
     # ------------------------------------------------------------------
     # Batched internals. X has shape (m, d); all returns are per-point.
     # ------------------------------------------------------------------
@@ -110,25 +126,25 @@ class Mixture:
     def log_terms(self, X: np.ndarray) -> np.ndarray:
         """Per-component log(alpha_i * f_i(x)) for points X, shape (k, m)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        m = X.shape[0]
-        out = np.empty((self.k, m))
-        for i in range(self.k):
-            Y = (X - self._means[i]).T                       # (d, m)
-            Z = solve_triangular(self._chols[i], Y, lower=True)
-            out[i] = self._log_weights[i] + self._log_norms[i] - 0.5 * np.sum(Z * Z, axis=0)
-        return out
+        # Rows of Z are the whitened offsets W_i (x - mu_i), all components at once.
+        Z = (X[None, :, :] - self._means[:, None, :]) @ np.swapaxes(self._whitens, 1, 2)
+        quad = np.einsum("kmd,kmd->km", Z, Z)
+        return (self._log_weights + self._log_norms)[:, None] - 0.5 * quad
 
     def log_density(self, X: np.ndarray) -> np.ndarray:
-        lt = self.log_terms(X)
-        shift = np.max(lt, axis=0)
-        return shift + np.log(np.sum(np.exp(lt - shift), axis=0))
+        return self._log_density_resp(X)[0]
 
     def responsibilities(self, X: np.ndarray) -> np.ndarray:
         """Normalized component contributions, shape (k, m)."""
+        return self._log_density_resp(X)[1]
+
+    def _log_density_resp(self, X: np.ndarray):
+        """Log-density (m,) and responsibilities (k, m) from one log_terms call."""
         lt = self.log_terms(X)
-        lt -= np.max(lt, axis=0)
-        w = np.exp(lt)
-        return w / np.sum(w, axis=0)
+        shift = np.max(lt, axis=0)
+        w = np.exp(lt - shift)
+        wsum = np.sum(w, axis=0)
+        return shift + np.log(wsum), w / wsum
 
     def grad_over_density(self, X: np.ndarray) -> np.ndarray:
         """Scale-free gradient grad f / f at each point, shape (m, d).
@@ -137,16 +153,17 @@ class Mixture:
         the scale-free ascent convergence test needs.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        r = self.responsibilities(X)                          # (k, m)
-        pulls = np.einsum("ist,mt->ims", self._precisions, -X) + np.einsum(
-            "ist,it->is", self._precisions, self._means
-        )[:, None, :]                                         # (k, m, d)
-        return np.einsum("im,imd->md", r, pulls)
+        return self._grad_from_resp(X, self.responsibilities(X))
+
+    def _grad_from_resp(self, X: np.ndarray, resp: np.ndarray) -> np.ndarray:
+        """grad f / f = sum_i r_i P_i (mu_i - x) given responsibilities (k, m)."""
+        return np.einsum("km,kmd->md", resp, self._pulls(X, self._precisions))
+
+    def _pulls(self, X: np.ndarray, precisions: np.ndarray) -> np.ndarray:
+        """Per-component P_i (mu_i - x) for every row of X, shape (k, m, d)."""
+        return (self._means[:, None, :] - X[None, :, :]) @ precisions
 
     # ------------------------------------------------------------------
-
-    def __getstate__(self):
-        return self.__dict__
 
     def to_dict(self) -> dict:
         return mixture_to_dict(self)
@@ -171,7 +188,17 @@ class EvalResult:
     hessian_over_density: np.ndarray
 
 
+class Derivatives(NamedTuple):
+    """Batched output of :func:`derivatives` for m points in R^d."""
+
+    log_density: np.ndarray           # (m,)
+    responsibilities: np.ndarray      # (k, m)
+    grad_over_density: np.ndarray     # (m, d)
+    hessian_over_density: np.ndarray  # (m, d, d), symmetric
+
+
 def _validate_covariance(cov: np.ndarray, index: int) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite covariance."""
     scale = np.max(np.abs(cov))
     if scale == 0.0 or np.max(np.abs(cov - cov.T)) > _SYM_RTOL * scale:
         raise NonSPD(index, f"covariance {index} is not symmetric")
@@ -182,6 +209,12 @@ def _validate_covariance(cov: np.ndarray, index: int) -> np.ndarray:
     if np.any(np.diag(L) <= 0.0):
         raise NonSPD(index)
     return L
+
+
+def _whitening_factor(cov, index: int = 0) -> np.ndarray:
+    """Validated whitening factor W = L^{-1} of a covariance (NonSPD if not SPD)."""
+    L = _validate_covariance(np.asarray(cov, dtype=float), index)
+    return solve_triangular(L, np.eye(L.shape[0]), lower=True)
 
 
 def make_mixture(weights, means, covariances) -> Mixture:
@@ -209,42 +242,59 @@ def make_mixture(weights, means, covariances) -> Mixture:
         raise WeightSumInvalid(f"weights sum to {s!r}, not 1 within {_WEIGHT_SUM_TOL}")
     weights = weights / s
 
-    comps = []
-    for i in range(len(weights)):
-        L = _validate_covariance(covs[i], i)
-        log_norm = -float(np.sum(np.log(np.diag(L)))) - 0.5 * d * np.log(2.0 * np.pi)
-        comps.append(
-            GaussianComponent(
-                weight=float(weights[i]),
-                mean=means[i].copy(),
-                cov=covs[i].copy(),
-                chol=L,
-                log_norm=log_norm,
-            )
+    whitens = np.stack([_whitening_factor(cov, i) for i, cov in enumerate(covs)])
+    # log det(cov)^{-1/2} = sum log diag(W), since diag(W) = 1 / diag(L).
+    log_det_w = np.sum(np.log(np.diagonal(whitens, axis1=1, axis2=2)), axis=1)
+    log_norms = log_det_w - 0.5 * d * np.log(2.0 * np.pi)
+    comps = tuple(
+        GaussianComponent(
+            weight=float(weights[i]),
+            mean=means[i].copy(),
+            cov=covs[i].copy(),
+            log_norm=float(log_norms[i]),
         )
+        for i in range(len(weights))
+    )
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
-    eye = np.eye(d)
-    precs = np.stack([cho_solve((c.chol, True), eye) for c in comps])
-    precs = 0.5 * (precs + np.transpose(precs, (0, 2, 1)))
     return Mixture(
         dim=d,
-        components=tuple(comps),
+        components=comps,
         _means=np.stack([c.mean for c in comps]),
-        _chols=np.stack([c.chol for c in comps]),
-        _precisions=precs,
+        _whitens=whitens,
         _log_weights=log_w,
-        _log_norms=np.array([c.log_norm for c in comps]),
+        _log_norms=log_norms,
     )
+
+
+def derivatives(mix: Mixture, X) -> Derivatives:
+    """Log-density, responsibilities, grad f / f and Hess f / f at every row of X.
+
+    One :meth:`Mixture.log_terms` call over the (m, d) points; the rest is
+    accumulated in the max-shifted log scale: responsibilities
+    r_i = exp(logterm_i - logsum) weight the per-component pulls
+    g_i = P_i (mu_i - x), giving grad f / f = sum_i r_i g_i and
+    Hess f / f = sum_i r_i (g_i g_i^T - P_i). Both stay finite deep in the
+    tails where the density itself underflows.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    m, d = X.shape
+    log_density, resp = mix._log_density_resp(X)             # (m,), (k, m)
+    P = mix._precisions
+    G = mix._pulls(X, P)                                     # (k, m, d)
+    RG = resp[:, :, None] * G
+    hess = np.einsum("kmd,kme->mde", RG, G)
+    hess -= (resp.T @ P.reshape(mix.k, d * d)).reshape(m, d, d)
+    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    return Derivatives(log_density, resp, np.sum(RG, axis=0), hess)
 
 
 def evaluate(mix: Mixture, x) -> EvalResult:
     """Evaluate density, gradient, Hessian and responsibilities at x.
 
-    Accumulation happens in the max-shifted log scale: per-component
-    weights exp(logterm_i - max logterm) multiply the per-component
-    gradient/Hessian factors and the single rescale by exp(max + logsum)
-    is applied at the end.
+    The one-point form of :func:`derivatives`; the single rescale by the
+    density is applied at the end, and the density is flushed to 0.0 below
+    ``LOG_DENSITY_FLOOR``.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape != (mix.dim,):
@@ -252,33 +302,17 @@ def evaluate(mix: Mixture, x) -> EvalResult:
     if not np.all(np.isfinite(x)):
         raise NonFinite(f"point contains non-finite entries: {x}")
 
-    lt = mix.log_terms(x[None, :])[:, 0]                     # (k,)
-    shift = float(np.max(lt))
-    w = np.exp(lt - shift)                                   # (k,)
-    wsum = float(np.sum(w))
-    log_density = shift + np.log(wsum)
-    resp = w / wsum
-
-    d = mix.dim
-    grad_over_f = np.zeros(d)
-    hess_over_f = np.zeros((d, d))
-    for i, comp in enumerate(mix.components):
-        y = mix._means[i] - x
-        g = cho_solve((comp.chol, True), y)                  # Sigma_i^{-1} (mu_i - x)
-        grad_over_f += resp[i] * g
-        hess_over_f += resp[i] * (np.outer(g, g) - mix._precisions[i])
-    hess_over_f = 0.5 * (hess_over_f + hess_over_f.T)
-
-    if log_density > LOG_DENSITY_FLOOR:
-        density = float(np.exp(log_density))
-    else:
-        density = 0.0
+    der = derivatives(mix, x[None, :])
+    log_density = float(der.log_density[0])
+    density = float(np.exp(log_density)) if log_density > LOG_DENSITY_FLOOR else 0.0
+    grad_over_f = der.grad_over_density[0]
+    hess_over_f = der.hessian_over_density[0]
     return EvalResult(
-        log_density=float(log_density),
+        log_density=log_density,
         density=density,
         gradient=density * grad_over_f,
         hessian=density * hess_over_f,
-        responsibilities=resp,
+        responsibilities=der.responsibilities[:, 0],
         grad_over_density=grad_over_f,
         hessian_over_density=hess_over_f,
     )

@@ -8,6 +8,9 @@ where r_i are the responsibilities and P_i the component precisions;
 this is the mean-shift step and its fixed points are exactly the
 critical points of the density. Phase two polishes with damped Newton
 on the gradient, which also yields the Hessian used for classification.
+Both phases run batched over all active starts, phase two through the
+(m, d) derivative kernel :func:`gmmodes.mixture.derivatives`; a single
+start (:func:`ascend`) is a batch of one.
 
 All convergence tests are scale-free (||grad f|| / f) because density
 magnitudes across the constructions here differ by hundreds of orders
@@ -19,14 +22,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from . import bounds
-from .errors import IllConditioned, NonFinite, TooFewSamples
-from .mixture import Mixture, evaluate, mixture_to_dict
+from .errors import DimensionMismatch, IllConditioned, NonFinite, TooFewSamples
+from .mixture import Mixture, _whitening_factor, derivatives, mixture_to_dict
 
 __all__ = [
     "AscentOptions",
@@ -181,76 +185,144 @@ def mixture_digest(mix: Mixture) -> str:
 # Fixed-point (mean shift) iteration
 # ----------------------------------------------------------------------
 
-def _combined_precision(mix: Mixture, resp: np.ndarray):
-    """Responsibility-weighted precision and its weighted mean pull."""
-    P = np.einsum("k,kst->st", resp, mix._precisions)
-    rhs = np.einsum("k,kst,kt->s", resp, mix._precisions, mix._means)
-    return P, rhs
-
-
 def fixed_point_step(mix: Mixture, x) -> np.ndarray:
     """One mean-shift step from x; fixed points are critical points."""
     x = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise NonFinite(f"start contains non-finite entries: {x}")
-    resp = mix.responsibilities(x[None, :])[:, 0]
-    P, rhs = _combined_precision(mix, resp)
-    eigs = np.linalg.eigvalsh(P)
-    if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _CONDITION_LIMIT:
-        raise IllConditioned(
-            f"combined precision condition estimate {eigs[-1] / max(eigs[0], 1e-300):.3g}"
-        )
-    return cho_solve(cho_factor(P, lower=True), rhs)
+    return _fixed_point_batch(mix, mix.responsibilities(x[None, :]))[0]
 
 
-def _fixed_point_batch(mix: Mixture, X: np.ndarray) -> np.ndarray:
-    """Vectorized mean-shift step for all rows of X."""
-    resp = mix.responsibilities(X)                                # (k, m)
-    P = np.einsum("km,kst->mst", resp, mix._precisions)
-    pmu = np.einsum("kst,kt->ks", mix._precisions, mix._means)    # (k, d)
+def _fixed_point_batch(mix: Mixture, resp: np.ndarray) -> np.ndarray:
+    """Vectorized mean-shift step for points with responsibilities resp (k, m)."""
+    precs = mix._precisions
+    P = np.einsum("km,kst->mst", resp, precs)
+    pmu = np.einsum("kst,kt->ks", precs, mix._means)              # (k, d)
     rhs = np.einsum("km,ks->ms", resp, pmu)
     return np.linalg.solve(P, rhs[..., None])[..., 0]
+
+
+def _mean_shift(mix: Mixture, X: np.ndarray, opts: AscentOptions) -> np.ndarray:
+    """Phase one: damped fixed-point ascent of every row of X at once.
+
+    A row stops once ||grad f / f|| falls below 1e3 * gradient_tolerance or
+    its step below step_tolerance; a step that lowers log-density by more
+    than the monotone slack is halved toward its origin (at most 60 times).
+    """
+    coarse_tol = 1e3 * opts.gradient_tolerance
+    X = X.copy()
+    # Log-density and responsibilities of every row, kept current so each
+    # point's log_terms are computed once.
+    logf, resp = mix._log_density_resp(X)
+    active = np.ones(X.shape[0], dtype=bool)
+    for _ in range(opts.max_fixed_point_iters):
+        if not np.any(active):
+            break
+        idx = np.flatnonzero(active)
+        g = mix._grad_from_resp(X[idx], resp[:, idx])
+        done = np.linalg.norm(g, axis=1) < coarse_tol
+        active[idx[done]] = False
+        idx = idx[~done]
+        if idx.size == 0:
+            continue
+        X_new = _fixed_point_batch(mix, resp[:, idx])
+        logf_new, resp_new = mix._log_density_resp(X_new)
+        for _ in range(60):
+            bad = logf_new < logf[idx] - _MONOTONE_SLACK
+            if not np.any(bad):
+                break
+            X_new[bad] = 0.5 * (X_new[bad] + X[idx[bad]])
+            logf_new[bad], resp_new[:, bad] = mix._log_density_resp(X_new[bad])
+        steps = np.linalg.norm(X_new - X[idx], axis=1)
+        X[idx], logf[idx], resp[:, idx] = X_new, logf_new, resp_new
+        active[idx[steps < opts.step_tolerance]] = False
+    return X
 
 
 # ----------------------------------------------------------------------
 # Newton refinement and classification
 # ----------------------------------------------------------------------
 
-def _newton_polish(mix: Mixture, x: np.ndarray, opts: AscentOptions, step_cap: float):
-    """Newton iterations on grad f; returns (x, EvalResult, converged)."""
-    res = evaluate(mix, x)
+class _Polished(NamedTuple):
+    """Phase-two endpoints of m starts, row-aligned."""
+
+    x: np.ndarray             # (m, d)
+    log_density: np.ndarray   # (m,)
+    grad: np.ndarray          # (m, d) grad f / f
+    hess: np.ndarray          # (m, d, d) Hess f / f
+    converged: np.ndarray     # (m,) bool
+
+    def critical_point(self, i: int, mix: Mixture, opts, scale: float, converged_from: int = 1):
+        """Classify row i into a CriticalPoint."""
+        kind, sidx, eigs, degen = _classify(mix, self.x[i], self.hess[i], opts, scale)
+        return CriticalPoint(
+            location=self.x[i].copy(),
+            log_density=float(self.log_density[i]),
+            gradient_norm=float(np.linalg.norm(self.grad[i])),
+            hessian_eigenvalues=eigs,
+            kind=kind,
+            saddle_index=sidx,
+            converged_from=converged_from,
+            converged=bool(self.converged[i]),
+            degenerate_hessian=degen,
+        )
+
+
+def _newton_polish(mix: Mixture, X: np.ndarray, opts: AscentOptions, step_cap: float) -> _Polished:
+    """Damped Newton on grad f for every row of X at once.
+
+    Each row follows its own rules: the Hessian's tiny eigenvalues are
+    floored keeping their sign, a step is capped at ``step_cap`` and halved
+    toward its origin (at most 30 times) while it more than doubles
+    ||grad f / f||, a row stops once it moves less than ``step_tolerance``
+    or after ``max_newton_iters`` steps, and it has converged when
+    ||grad f / f|| is within ``gradient_tolerance``.
+    """
+    X = np.array(X, dtype=float)
+    der = derivatives(mix, X)
+    logf, G, H = der.log_density, der.grad_over_density, der.hessian_over_density
+    active = np.ones(X.shape[0], dtype=bool)
     for _ in range(opts.max_newton_iters):
-        g = res.grad_over_density
         # Polish past the gradient test down to step_tolerance so that in
         # flat (near-degenerate) regions every start lands on the same
         # point instead of scattering across the plateau.
-        H = res.hessian_over_density
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        g = G[idx]
         # Regularize only the linear solve: clamp tiny eigenvalues away
         # from zero, keeping their sign so saddles are still repelled.
-        w, V = np.linalg.eigh(H)
-        floor = max(1e-12 * np.max(np.abs(w)), 1e-300)
+        w, V = np.linalg.eigh(H[idx])
+        floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
         w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
-        step = -V @ ((V.T @ g) / w)
-        norm = np.linalg.norm(step)
-        if norm > step_cap:
-            step *= step_cap / norm
+        step = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g) / w)
+        norm = np.linalg.norm(step, axis=1)
+        long = norm > step_cap
+        step[long] *= (step_cap / norm[long])[:, None]
+        x = X[idx]
         x_new = x + step
-        res_new = evaluate(mix, x_new)
+        new = derivatives(mix, x_new)
+        logf_new, g_new, H_new = new.log_density, new.grad_over_density, new.hessian_over_density
         # Back off if Newton overshoots into a lower-gradient-free region.
-        halvings = 0
-        while (
-            np.linalg.norm(res_new.grad_over_density) > 2.0 * np.linalg.norm(g)
-            and halvings < 30
-        ):
-            x_new = 0.5 * (x_new + x)
-            res_new = evaluate(mix, x_new)
-            halvings += 1
-        moved = np.linalg.norm(x_new - x)
-        x, res = x_new, res_new
-        if moved < opts.step_tolerance:
-            break
-    converged = np.linalg.norm(res.grad_over_density) <= opts.gradient_tolerance
-    return x, res, converged
+        g_norm = np.linalg.norm(g, axis=1)
+        for _ in range(30):
+            bad = np.linalg.norm(g_new, axis=1) > 2.0 * g_norm
+            if not np.any(bad):
+                break
+            x_new[bad] = 0.5 * (x_new[bad] + x[bad])
+            sub = derivatives(mix, x_new[bad])
+            logf_new[bad] = sub.log_density
+            g_new[bad] = sub.grad_over_density
+            H_new[bad] = sub.hessian_over_density
+        moved = np.linalg.norm(x_new - x, axis=1)
+        X[idx], logf[idx], G[idx], H[idx] = x_new, logf_new, g_new, H_new
+        active[idx[moved < opts.step_tolerance]] = False
+    return _Polished(X, logf, G, H, np.linalg.norm(G, axis=1) <= opts.gradient_tolerance)
+
+
+def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float) -> _Polished:
+    """Both phases for every row of X; ``scale`` caps Newton steps at scale / 2."""
+    return _newton_polish(mix, _mean_shift(mix, X, opts), opts, step_cap=0.5 * max(scale, 1e-300))
 
 
 _PROBE_FRACTIONS = (1e-4, 1e-3, 1e-2)
@@ -277,9 +349,9 @@ def _probe_extremum(mix: Mixture, x: np.ndarray, directions: np.ndarray, scale: 
     return "degenerate"
 
 
-def _classify(mix: Mixture, x: np.ndarray, res, opts: AscentOptions, scale: float):
-    """Classify a converged critical point from its Hessian spectrum."""
-    eigs = np.sort(np.linalg.eigvalsh(res.hessian_over_density))
+def _classify(mix: Mixture, x: np.ndarray, hess: np.ndarray, opts: AscentOptions, scale: float):
+    """Classify a converged critical point from its Hessian spectrum (Hess f / f)."""
+    eigs = np.sort(np.linalg.eigvalsh(hess))
     tol = opts.degenerate_eigen_tolerance * np.max(np.abs(eigs)) if eigs.size else 0.0
     d = eigs.size
     degenerate = bool(np.any(np.abs(eigs) <= tol))
@@ -292,7 +364,7 @@ def _classify(mix: Mixture, x: np.ndarray, res, opts: AscentOptions, scale: floa
         return "saddle", neg, eigs, False
     # Degenerate spectrum: resolve strict local extrema by direct probing
     # along coordinate axes and Hessian eigenvectors.
-    _, V = np.linalg.eigh(res.hessian_over_density)
+    _, V = np.linalg.eigh(hess)
     dirs = np.concatenate([np.eye(d), -np.eye(d), V.T, -V.T], axis=0)
     kind = _probe_extremum(mix, x, dirs, scale)
     return kind, None, eigs, True
@@ -303,6 +375,7 @@ def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | N
 
     ``scale`` is the search-box diameter used for Newton step capping and
     degenerate probing; it defaults to a spread estimate from the means.
+    This is :func:`find_critical_points`' per-start path, as a batch of one.
     """
     opts = opts or AscentOptions()
     x = np.asarray(x0, dtype=float).ravel()
@@ -310,38 +383,7 @@ def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | N
         raise NonFinite(f"start contains non-finite entries: {x}")
     if scale is None:
         scale = _default_scale(mix)
-
-    coarse_tol = 1e3 * opts.gradient_tolerance
-    logf = mix.log_density(x[None, :])[0]
-    for _ in range(opts.max_fixed_point_iters):
-        g = mix.grad_over_density(x[None, :])[0]
-        if np.linalg.norm(g) < coarse_tol:
-            break
-        x_new = fixed_point_step(mix, x)
-        logf_new = mix.log_density(x_new[None, :])[0]
-        halvings = 0
-        while logf_new < logf - _MONOTONE_SLACK and halvings < 60:
-            x_new = 0.5 * (x_new + x)
-            logf_new = mix.log_density(x_new[None, :])[0]
-            halvings += 1
-        if np.linalg.norm(x_new - x) < opts.step_tolerance:
-            x, logf = x_new, logf_new
-            break
-        x, logf = x_new, logf_new
-
-    x, res, converged = _newton_polish(mix, x, opts, step_cap=0.5 * scale)
-    kind, sidx, eigs, degen = _classify(mix, x, res, opts, scale)
-    return CriticalPoint(
-        location=x,
-        log_density=res.log_density,
-        gradient_norm=float(np.linalg.norm(res.grad_over_density)),
-        hessian_eigenvalues=eigs,
-        kind=kind,
-        saddle_index=sidx,
-        converged_from=1,
-        converged=converged,
-        degenerate_hessian=degen,
-    )
+    return _ascend_batch(mix, x[None, :], opts, scale).critical_point(0, mix, opts, scale)
 
 
 def _default_scale(mix: Mixture) -> float:
@@ -387,19 +429,33 @@ def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
 # Multistart driver
 # ----------------------------------------------------------------------
 
-def _dedup(points, order_key, radius):
-    """Greedy cluster points within radius; returns list of index lists."""
+def _dedup(points: np.ndarray, order_key, radius):
+    """Greedy clustering of the rows of points, taken in order_key order:
+    each joins the earliest cluster whose first member lies within radius,
+    else starts a new one. Returns list of index lists, built one cluster
+    at a time (the first unassigned point heads the next cluster)."""
+    order = np.asarray(order_key, dtype=int)
+    pts = points[order]
+    unassigned = np.ones(order.size, dtype=bool)
     clusters = []
-    for idx in order_key:
-        placed = False
-        for cl in clusters:
-            if np.linalg.norm(points[idx] - points[cl[0]]) <= radius:
-                cl.append(idx)
-                placed = True
-                break
-        if not placed:
-            clusters.append([idx])
+    while np.any(unassigned):
+        head = int(np.argmax(unassigned))
+        members = unassigned & (np.linalg.norm(pts - pts[head], axis=1) <= radius)
+        clusters.append(order[members].tolist())
+        unassigned &= ~members
     return clusters
+
+
+def _distinct_critical_points(mix: Mixture, pol: _Polished, opts, scale: float, radius: float):
+    """Dedup the converged rows of pol and classify each cluster's row of
+    smallest ||grad f / f||."""
+    # Deterministic dedup order: lexicographic by location.
+    conv_idx = sorted(np.flatnonzero(pol.converged), key=lambda i: tuple(pol.x[i]))
+    grad_norms = np.linalg.norm(pol.grad, axis=1)
+    return [
+        pol.critical_point(min(cl, key=lambda i: grad_norms[i]), mix, opts, scale, converged_from=len(cl))
+        for cl in _dedup(pol.x, conv_idx, radius)
+    ]
 
 
 def find_critical_points(
@@ -410,16 +466,19 @@ def find_critical_points(
 ) -> ModeReport:
     """Multistart search: ascend from every start, dedup and classify.
 
-    Phase one runs vectorized over all active starts; the outcome is
+    Both phases run vectorized over all active starts; the outcome is
     identical to running :func:`ascend` sequentially because every start
-    follows the same damped iteration, and deduplication is performed on
-    a deterministic lexicographic ordering of the converged points.
+    follows the same damped iteration (``ascend`` is this path as a batch
+    of one), and deduplication is performed on a deterministic
+    lexicographic ordering of the converged points.
     """
     opts = opts or AscentOptions()
     X = np.atleast_2d(np.asarray(starts, dtype=float))
     m = X.shape[0]
     if m < 1:
         raise ValueError("at least one start is required")
+    if not np.all(np.isfinite(X)):
+        raise NonFinite("starts contain non-finite entries")
 
     if search_box is not None:
         lo, hi = (np.asarray(a, dtype=float) for a in search_box)
@@ -429,62 +488,8 @@ def find_critical_points(
     scale = diam if diam > 0 else _default_scale(mix)
     radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale
 
-    coarse_tol = 1e3 * opts.gradient_tolerance
-    X = X.copy()
-    logf = mix.log_density(X)
-    active = np.ones(m, dtype=bool)
-    for _ in range(opts.max_fixed_point_iters):
-        if not np.any(active):
-            break
-        idx = np.flatnonzero(active)
-        g = mix.grad_over_density(X[idx])
-        done = np.linalg.norm(g, axis=1) < coarse_tol
-        active[idx[done]] = False
-        idx = idx[~done]
-        if idx.size == 0:
-            continue
-        X_new = _fixed_point_batch(mix, X[idx])
-        logf_new = mix.log_density(X_new)
-        for _ in range(60):
-            bad = logf_new < logf[idx] - _MONOTONE_SLACK
-            if not np.any(bad):
-                break
-            X_new[bad] = 0.5 * (X_new[bad] + X[idx[bad]])
-            logf_new[bad] = mix.log_density(X_new[bad])
-        steps = np.linalg.norm(X_new - X[idx], axis=1)
-        X[idx] = X_new
-        logf[idx] = logf_new
-        active[idx[steps < opts.step_tolerance]] = False
-
-    refined = []
-    for i in range(m):
-        x, res, converged = _newton_polish(mix, X[i], opts, step_cap=0.5 * max(scale, 1e-300))
-        refined.append((x, res, converged))
-
-    conv_idx = [i for i, (_, _, ok) in enumerate(refined) if ok]
-    # Deterministic dedup order: lexicographic by location.
-    conv_idx.sort(key=lambda i: tuple(refined[i][0]))
-    pts = {i: refined[i][0] for i in conv_idx}
-    clusters = _dedup(pts, conv_idx, radius)
-
-    critical_points = []
-    for cl in clusters:
-        rep = min(cl, key=lambda i: np.linalg.norm(refined[i][1].grad_over_density))
-        x, res, _ = refined[rep]
-        kind, sidx, eigs, degen = _classify(mix, x, res, opts, scale)
-        critical_points.append(
-            CriticalPoint(
-                location=x,
-                log_density=res.log_density,
-                gradient_norm=float(np.linalg.norm(res.grad_over_density)),
-                hessian_eigenvalues=eigs,
-                kind=kind,
-                saddle_index=sidx,
-                converged_from=len(cl),
-                converged=True,
-                degenerate_hessian=degen,
-            )
-        )
+    pol = _ascend_batch(mix, X, opts, scale)
+    critical_points = _distinct_critical_points(mix, pol, opts, scale, radius)
 
     mode_count = sum(1 for c in critical_points if c.kind == "mode")
     up = bounds.upper(mix.dim, mix.k)
@@ -499,7 +504,7 @@ def find_critical_points(
         critical_points=tuple(critical_points),
         mode_count=mode_count,
         starts_used=m,
-        starts_converged=len(conv_idx),
+        starts_converged=int(np.sum(pol.converged)),
         bound_check=check,
         dedup_radius=radius,
     )
@@ -514,17 +519,17 @@ def ridgeline_point(means, covariances, alpha) -> np.ndarray:
 
         x*(alpha) = [sum_i alpha_i P_i]^{-1} [sum_i alpha_i P_i mu_i]
     """
-    from .mixture import make_mixture
-
     alpha = np.asarray(alpha, dtype=float).ravel()
-    k = alpha.shape[0]
-    mix = make_mixture(np.full(k, 1.0 / k), means, covariances)
-    return _ridgeline_solve(mix, alpha)
+    means = np.array([np.asarray(mu, dtype=float).ravel() for mu in means])
+    W = np.stack([_whitening_factor(cov, i) for i, cov in enumerate(covariances)])
+    if means.shape != W.shape[:2] or alpha.shape != W.shape[:1]:
+        raise DimensionMismatch("means, covariances and alpha do not match")
+    return _ridgeline_solve(np.swapaxes(W, 1, 2) @ W, means, alpha)
 
 
-def _ridgeline_solve(mix: Mixture, alpha: np.ndarray) -> np.ndarray:
-    P = np.einsum("k,kst->st", alpha, mix._precisions)
-    rhs = np.einsum("k,kst,kt->s", alpha, mix._precisions, mix._means)
+def _ridgeline_solve(precisions: np.ndarray, means: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    P = np.einsum("k,kst->st", alpha, precisions)
+    rhs = np.einsum("k,kst,kt->s", alpha, precisions, means)
     eigs = np.linalg.eigvalsh(P)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _CONDITION_LIMIT:
         raise IllConditioned("combined ridgeline precision is ill-conditioned")
@@ -574,54 +579,28 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions |
 
     t_grid = np.linspace(0.0, 1.0, samples)
     h = _ridgeline_derivative(mix, t_grid)
-    roots = list(t_grid[h == 0.0])
     sign = np.sign(h)
     flips = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
-    for j in flips:
-        a, b = t_grid[j], t_grid[j + 1]
-        ha = h[j]
-        while b - a > 1e-12:
-            mid = 0.5 * (a + b)
-            hm = _ridgeline_derivative(mix, np.array([mid]))[0]
-            if hm == 0.0:
-                a = b = mid
-                break
-            if (ha < 0) != (hm < 0):
-                b = mid
-            else:
-                a, ha = mid, hm
-        roots.append(0.5 * (a + b))
+    # Bisect every bracket at once, one derivative call per halving.
+    a, b, ha = t_grid[flips], t_grid[flips + 1], h[flips]
+    open_ = np.flatnonzero(b - a > 1e-12)
+    while open_.size:
+        mid = 0.5 * (a[open_] + b[open_])
+        hm = _ridgeline_derivative(mix, mid)
+        zero = hm == 0.0
+        left = ~zero & ((ha[open_] < 0) != (hm < 0))
+        right = ~zero & ~left
+        a[open_[zero]] = b[open_[zero]] = mid[zero]
+        b[open_[left]] = mid[left]
+        a[open_[right]], ha[open_[right]] = mid[right], hm[right]
+        open_ = open_[b[open_] - a[open_] > 1e-12]
+    roots = np.sort(np.concatenate([t_grid[h == 0.0], 0.5 * (a + b)]))
 
     scale = _default_scale(mix)
-    points = []
-    seeds = [_ridgeline_curve_k2(mix, np.array([t]))[0][0] for t in sorted(roots)]
-    seeds.extend(mix._means)
-    for x0 in seeds:
-        x, res, converged = _newton_polish(mix, x0, opts, step_cap=0.5 * scale)
-        if not converged:
-            continue
-        kind, sidx, eigs, degen = _classify(mix, x, res, opts, scale)
-        points.append(
-            CriticalPoint(
-                location=x,
-                log_density=res.log_density,
-                gradient_norm=float(np.linalg.norm(res.grad_over_density)),
-                hessian_eigenvalues=eigs,
-                kind=kind,
-                saddle_index=sidx,
-                degenerate_hessian=degen,
-            )
-        )
-
+    seeds = np.concatenate([_ridgeline_curve_k2(mix, roots)[0], mix._means])
+    pol = _newton_polish(mix, seeds, opts, step_cap=0.5 * scale)
     radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale
-    order = sorted(range(len(points)), key=lambda i: tuple(points[i].location))
-    locs = {i: points[i].location for i in order}
-    clusters = _dedup(locs, order, radius)
-    out = []
-    for cl in clusters:
-        rep = min(cl, key=lambda i: points[i].gradient_norm)
-        out.append(replace(points[rep], converged_from=len(cl)))
-    return out
+    return _distinct_critical_points(mix, pol, opts, scale, radius)
 
 
 def verify_ridgeline_membership(mix: Mixture, cp: CriticalPoint) -> float:
@@ -633,4 +612,4 @@ def verify_ridgeline_membership(mix: Mixture, cp: CriticalPoint) -> float:
     """
     x = np.asarray(cp.location, dtype=float)
     alpha = mix.responsibilities(x[None, :])[:, 0]
-    return float(np.linalg.norm(_ridgeline_solve(mix, alpha) - x))
+    return float(np.linalg.norm(_ridgeline_solve(mix._precisions, mix._means, alpha) - x))

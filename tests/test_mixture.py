@@ -4,7 +4,9 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 
+from gmmodes.constructions import arrangement_scenario, generic_arrangement
 from gmmodes.errors import (
     DimensionMismatch,
     NegativeWeight,
@@ -15,6 +17,7 @@ from gmmodes.errors import (
 )
 from gmmodes.mixture import (
     affine_transform,
+    derivatives,
     evaluate,
     is_homoscedastic,
     is_isotropic,
@@ -209,6 +212,78 @@ def test_extreme_anisotropy_stable():
     res = evaluate(mix, [0.25, 0.25])
     assert np.isfinite(res.log_density)
     assert np.all(np.isfinite(res.grad_over_density))
+
+
+def reference_point(mix, x):
+    """Per-point formulas with per-component Cholesky solves.
+
+    Returns log-density, responsibilities, grad f / f, Hess f / f and the
+    magnitudes sum_i r_i ||g_i|| and sum_i r_i (||g_i||^2 + ||P_i||) of the
+    terms that the gradient and Hessian sums cancel.
+    """
+    lt, pulls, precs = [], [], []
+    for c in mix.components:
+        L = cholesky(c.cov, lower=True)
+        z = solve_triangular(L, x - c.mean, lower=True)
+        lt.append(np.log(c.weight) + c.log_norm - 0.5 * z @ z)
+        pulls.append(cho_solve((L, True), c.mean - x))
+        precs.append(cho_solve((L, True), np.eye(mix.dim)))
+    lt = np.array(lt)
+    w = np.exp(lt - lt.max())
+    r = w / w.sum()
+    grad = sum(ri * g for ri, g in zip(r, pulls))
+    hess = sum(ri * (np.outer(g, g) - P) for ri, g, P in zip(r, pulls, precs))
+    g_scale = sum(ri * np.linalg.norm(g) for ri, g in zip(r, pulls))
+    h_scale = sum(ri * (g @ g + np.linalg.norm(P)) for ri, g, P in zip(r, pulls, precs))
+    return lt.max() + np.log(w.sum()), r, grad, hess, g_scale, h_scale
+
+
+def assert_kernel_matches_reference(mix, X, rtol=1e-10):
+    der = derivatives(mix, X)
+    for i, x in enumerate(X):
+        ld, r, g, H, g_scale, h_scale = reference_point(mix, x)
+        assert abs(der.log_density[i] - ld) <= rtol * max(1.0, abs(ld))
+        assert np.max(np.abs(der.responsibilities[:, i] - r)) <= rtol
+        assert np.linalg.norm(der.grad_over_density[i] - g) <= rtol * g_scale
+        assert np.linalg.norm(der.hessian_over_density[i] - H) <= rtol * h_scale
+
+
+def test_kernel_matches_per_point_formulas():
+    rng = np.random.default_rng(11)
+    for d in range(1, 5):
+        for k in range(1, 10):
+            mix = random_mixture(rng, d, k)
+            sigma = np.sqrt(max(np.max(np.linalg.eigvalsh(c.cov)) for c in mix.components))
+            X = np.vstack([
+                rng.uniform(-4, 4, size=(12, d)),
+                mix.means + 1e-3,
+                # far tails, where evaluate's density flushes to 0.0
+                mix.means[0] + 60.0 * sigma * rng.normal(size=(3, d)),
+            ])
+            assert_kernel_matches_reference(mix, X)
+
+
+def test_kernel_matches_per_point_formulas_small_delta():
+    # delta = 2^-10: normal variance delta^3 ~ 1e-9 against unit tangential
+    scen = arrangement_scenario(generic_arrangement(2, 3, seed=1), 2.0**-10)
+    mix = scen.mixture
+    lo, hi = scen.search_box
+    rng = np.random.default_rng(12)
+    X = np.vstack([rng.uniform(lo, hi, size=(40, 2)), mix.means + 1e-6, lo - 30.0])
+    assert_kernel_matches_reference(mix, X)
+    assert evaluate(mix, lo - 30.0).density == 0.0
+
+
+def test_evaluate_is_kernel_row():
+    rng = np.random.default_rng(13)
+    for d in (1, 3):
+        mix = random_mixture(rng, d, 4)
+        x = rng.uniform(-3, 3, size=d)
+        res, der = evaluate(mix, x), derivatives(mix, x[None, :])
+        assert res.log_density == der.log_density[0]
+        assert np.array_equal(res.responsibilities, der.responsibilities[:, 0])
+        assert np.array_equal(res.grad_over_density, der.grad_over_density[0])
+        assert np.array_equal(res.hessian_over_density, der.hessian_over_density[0])
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,7 @@ from gmmodes.constructions import (
     duistermaat_triangle,
     generic_arrangement,
     arrangement_scenario,
+    product_of_triangles,
     univariate_pair,
 )
 from gmmodes.errors import TooFewSamples
@@ -126,6 +127,41 @@ def test_ascent_monotone_log_density():
             if np.linalg.norm(x_new - x) < 1e-14:
                 break
             x, logf = x_new, logf_new
+
+
+@pytest.mark.parametrize(
+    "scenario, starts",
+    [
+        (cross_example(), lambda scen: default_starts(scen, budget=60, seed=1)),
+        (duistermaat_triangle(0.72), lambda scen: default_starts(scen, budget=150, seed=1)),
+        # 20 of the catalog's 2250 starts: means, midpoints and Halton fill
+        (product_of_triangles(2, 0.72), lambda scen: default_starts(scen, budget=2250, seed=1)[::112][:20]),
+    ],
+    ids=["cross", "triangle", "product"],
+)
+def test_driver_identical_to_sequential_ascend(scenario, starts):
+    mix = scenario.mixture
+    X = starts(scenario)
+    opts = AscentOptions()
+    rep = find_critical_points(mix, X, opts, search_box=scenario.search_box)
+    lo, hi = scenario.search_box
+    scale = float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)))
+    hits = [0] * len(rep.critical_points)
+    converged = 0
+    for x0 in X:
+        cp = ascend(mix, x0, opts, scale=scale)
+        if not cp.converged:
+            continue
+        converged += 1
+        near = [
+            j for j, p in enumerate(rep.critical_points)
+            if np.linalg.norm(p.location - cp.location) <= rep.dedup_radius
+        ]
+        assert len(near) == 1
+        assert rep.critical_points[near[0]].kind == cp.kind
+        hits[near[0]] += 1
+    assert converged == rep.starts_converged
+    assert hits == [p.converged_from for p in rep.critical_points]
 
 
 # ----------------------------------------------------------------------
