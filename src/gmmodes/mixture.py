@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .errors import (
     DimensionMismatch,
@@ -78,7 +77,7 @@ class GaussianComponent:
     @property
     def chol(self) -> np.ndarray:
         """Lower Cholesky factor of ``cov``, factored on access."""
-        return cholesky(self.cov, lower=True)
+        return np.linalg.cholesky(self.cov)
 
 
 @dataclass(frozen=True)
@@ -198,13 +197,16 @@ class Derivatives(NamedTuple):
 
 
 def _validate_covariance(cov: np.ndarray, index: int) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite covariance."""
+    """Lower Cholesky factor of a finite, symmetric positive definite covariance."""
+    # numpy's cholesky factors NaN entries without complaint.
+    if not np.all(np.isfinite(cov)):
+        raise NonFinite(f"covariance {index} contains non-finite entries")
     scale = np.max(np.abs(cov))
     if scale == 0.0 or np.max(np.abs(cov - cov.T)) > _SYM_RTOL * scale:
         raise NonSPD(index, f"covariance {index} is not symmetric")
     try:
-        L = cholesky(cov, lower=True)
-    except LinAlgError as exc:
+        L = np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError as exc:
         raise NonSPD(index) from exc
     if np.any(np.diag(L) <= 0.0):
         raise NonSPD(index)
@@ -212,17 +214,26 @@ def _validate_covariance(cov: np.ndarray, index: int) -> np.ndarray:
 
 
 def _whitening_factor(cov, index: int = 0) -> np.ndarray:
-    """Validated whitening factor W = L^{-1} of a covariance (NonSPD if not SPD)."""
+    """Validated whitening factor W = L^{-1} of a covariance (NonSPD if not SPD).
+
+    Forward substitution on L W = I, one row of W at a time, so W is
+    exactly lower-triangular and diag(W) = 1 / diag(L).
+    """
     L = _validate_covariance(np.asarray(cov, dtype=float), index)
-    return solve_triangular(L, np.eye(L.shape[0]), lower=True)
+    d = L.shape[0]
+    I, W = np.eye(d), np.zeros((d, d))
+    for i in range(d):
+        W[i, : i + 1] = (I[i, : i + 1] - L[i, :i] @ W[:i, : i + 1]) / L[i, i]
+    return W
 
 
 def make_mixture(weights, means, covariances) -> Mixture:
     """Build a validated Mixture with cached factorizations.
 
-    Weights must be nonnegative and sum to 1 within 1e-9 (they are
-    renormalized inside that band, rejected outside). Covariances must be
-    symmetric positive definite.
+    Weights, means and covariances must be finite. Weights must be
+    nonnegative and sum to 1 within 1e-9 (they are renormalized inside
+    that band, rejected outside). Covariances must be symmetric positive
+    definite.
     """
     weights = np.asarray(weights, dtype=float)
     means = [np.asarray(m, dtype=float).ravel() for m in means]
@@ -235,6 +246,9 @@ def make_mixture(weights, means, covariances) -> Mixture:
             raise DimensionMismatch(f"mean {i} has dimension {mu.shape}, expected ({d},)")
         if cov.shape != (d, d):
             raise DimensionMismatch(f"covariance {i} has shape {cov.shape}, expected ({d},{d})")
+    # Covariances are checked for finiteness with the rest of their validation.
+    if not (np.all(np.isfinite(weights)) and all(np.all(np.isfinite(mu)) for mu in means)):
+        raise NonFinite("weights and means must be finite")
     if np.any(weights < 0.0):
         raise NegativeWeight(f"weights must be nonnegative, got {weights}")
     s = float(np.sum(weights))

@@ -22,14 +22,14 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import bounds
-from .errors import DimensionMismatch, IllConditioned, NonFinite, TooFewSamples
+from .errors import DimensionMismatch, IllConditioned, InvalidParameter, NonFinite, TooFewSamples
 from .mixture import Mixture, _whitening_factor, derivatives, mixture_to_dict
 
 __all__ = [
@@ -396,18 +396,66 @@ def _default_scale(mix: Mixture) -> float:
 # Start generation
 # ----------------------------------------------------------------------
 
+def _first_primes(d: int) -> list[int]:
+    primes, c = [], 2
+    while len(primes) < d:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def _halton(n: int, d: int, seed: int) -> np.ndarray:
+    """n points of Owen's randomized Halton sequence in [0, 1)^d.
+
+    Bit-identical to ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)
+    .random(n)`` (A. B. Owen, "A randomized Halton algorithm in R", 2017):
+    base j is the j-th prime, and each of its ceil(54 / log2(base)) - 1
+    digit positions gets its own random permutation of the digits, drawn
+    row by row from ``default_rng(seed)``. A point's scrambled digits are
+    summed low to high as perm[digit] * base^-(position + 1), the same
+    order and the same rounding as scipy's loop; once every index's
+    remaining digits are 0 the term is one constant.
+    """
+    rng = np.random.default_rng(seed)
+    out = np.empty((n, d))
+    for col, base in enumerate(_first_primes(d)):
+        count = math.ceil(54 / math.log2(base)) - 1
+        # permuted shuffles each row in turn, drawing as rng.shuffle does.
+        perms = rng.permuted(np.tile(np.arange(base), (count, 1)), axis=1)
+        q, acc, inv = np.arange(n), np.zeros(n), 1.0 / base
+        for perm in perms:
+            if q[-1]:
+                acc += perm[q % base] * inv
+                q //= base
+            else:
+                acc += float(perm[0]) * inv
+            inv /= base
+        out[:, col] = acc
+    return out
+
+
 def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
     """Deterministic multistart seeds for a scenario.
 
     The union of component means, arrangement vertices (when present) and
-    pairwise mean midpoints, then filled to ``budget`` with a seeded
-    Halton sequence over the scenario's search box.
+    pairwise mean midpoints, then filled to ``budget`` with an
+    Owen-scrambled Halton sequence over the scenario's search box, the
+    same points as ``scipy.stats.qmc.Halton(scramble=True, seed=seed)``.
+    ``InvalidParameter`` if the budget is below the component count, the
+    seed is negative, or the search box is not finite with lo < hi in
+    every coordinate.
     """
-    from scipy.stats import qmc
-
     mix = scenario.mixture
     if budget < mix.k:
-        raise ValueError(f"budget {budget} is below the component count {mix.k}")
+        raise InvalidParameter(f"budget {budget} is below the component count {mix.k}")
+    if seed < 0:
+        raise InvalidParameter(f"seed must be >= 0, got {seed}")
+    lo, hi = (np.asarray(a, dtype=float) for a in scenario.search_box)
+    if lo.shape != (mix.dim,) or hi.shape != (mix.dim,):
+        raise DimensionMismatch(f"search box shapes {lo.shape}, {hi.shape} do not match dim {mix.dim}")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+        raise InvalidParameter(f"search box needs finite lo < hi in every coordinate, got {lo}, {hi}")
     pts = [c.mean for c in mix.components]
     arr = getattr(scenario, "arrangement", None)
     if arr is not None:
@@ -418,10 +466,7 @@ def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
             pts.append(0.5 * (means[i] + means[j]))
     remaining = budget - len(pts)
     if remaining > 0:
-        lo, hi = scenario.search_box
-        sampler = qmc.Halton(d=mix.dim, scramble=True, seed=seed)
-        fill = qmc.scale(sampler.random(remaining), lo, hi)
-        pts.extend(fill)
+        pts.extend(lo + _halton(remaining, mix.dim, seed) * (hi - lo))
     return np.array(pts)
 
 
@@ -533,7 +578,7 @@ def _ridgeline_solve(precisions: np.ndarray, means: np.ndarray, alpha: np.ndarra
     eigs = np.linalg.eigvalsh(P)
     if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _CONDITION_LIMIT:
         raise IllConditioned("combined ridgeline precision is ill-conditioned")
-    return cho_solve(cho_factor(P, lower=True), rhs)
+    return np.linalg.solve(P, rhs)
 
 
 def _ridgeline_curve_k2(mix: Mixture, t: np.ndarray):

@@ -1,9 +1,13 @@
 """End-to-end checks of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gmmodes
 from gmmodes.cli import main
 
 
@@ -168,3 +172,49 @@ def test_construct_arrangement_metadata(tmp_path, capsys):
     assert len(meta["vertices"]) == 3
     assert len(meta["normals"]) == 3
     assert meta["genericity_margin"] >= 0.05
+
+
+def test_modes_rejects_non_finite_mixture(tmp_path, capsys):
+    base = str(tmp_path / "c")
+    run(capsys, "construct", "cross", "--output", base)
+    path = tmp_path / "c.mixture.json"
+    doc = json.loads(path.read_text())
+    doc["mixture"]["components"][0]["weight"] = float("nan")
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "modes", str(path))
+    assert code == 2
+    assert "error:" in err and "modes=" not in out
+
+
+def test_modes_rejects_bad_budget_seed_and_box(tmp_path, capsys):
+    base = str(tmp_path / "c")
+    run(capsys, "construct", "cross", "--output", base)
+    for flags in (["--starts", "1"], ["--seed", "-1"]):
+        code, _, err = run(capsys, "modes", base + ".mixture.json", *flags)
+        assert code == 2
+        assert "error:" in err
+    meta_path = tmp_path / "c.meta.json"
+    meta = json.loads(meta_path.read_text())
+    box = meta["metadata"]["search_box"]
+    box["lo"], box["hi"] = box["hi"], box["lo"]
+    meta_path.write_text(json.dumps(meta))
+    code, _, err = run(capsys, "modes", base + ".mixture.json")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_modes_and_verify_load_no_scipy(tmp_path, capsys):
+    base = str(tmp_path / "c")
+    run(capsys, "construct", "cross", "--output", base)
+    script = (
+        "import sys\n"
+        "from gmmodes.cli import main\n"
+        f"assert main(['modes', {base + '.mixture.json'!r}, '--starts', '50']) == 0\n"
+        "assert main(['verify', '--only', 'cross', '--starts', '50']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(gmmodes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -86,6 +86,19 @@ def test_weight_sum_tolerance():
         make_mixture([0.5, 0.6], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_mixture_rejected(bad):
+    weights, means, covs = [0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2), np.eye(2)]
+    with pytest.raises(NonFinite):
+        make_mixture([bad, 0.5], means, covs)
+    with pytest.raises(NonFinite):
+        make_mixture(weights, [[0.0, bad], [1.0, 0.0]], covs)
+    with pytest.raises(NonFinite):
+        make_mixture(weights, means, [np.eye(2), [[1.0, 0.0], [0.0, bad]]])
+    with pytest.raises(NonFinite):
+        make_mixture(weights, means, [np.eye(2), [[1.0, bad], [bad, 1.0]]])
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         make_mixture([0.5, 0.5], [[0.0], [0.0, 1.0]], [[[1.0]], [[1.0]]])
@@ -239,6 +252,12 @@ def reference_point(mix, x):
 
 
 def assert_kernel_matches_reference(mix, X, rtol=1e-10):
+    # Each stored whitening factor is L^{-1}: exactly lower-triangular, and
+    # within float noise of scipy's triangular solve.
+    for c, W in zip(mix.components, mix._whitens):
+        ref = solve_triangular(cholesky(c.cov, lower=True), np.eye(mix.dim), lower=True)
+        assert np.all(np.triu(W, 1) == 0.0)
+        assert np.max(np.abs(W - ref)) <= 1e-14 * np.max(np.abs(ref))
     der = derivatives(mix, X)
     for i, x in enumerate(X):
         ld, r, g, H, g_scale, h_scale = reference_point(mix, x)

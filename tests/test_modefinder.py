@@ -1,7 +1,10 @@
 """Fixed-point ascent, Newton refinement, classification and the k=2 oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from gmmodes.constructions import (
     cross_example,
@@ -11,11 +14,12 @@ from gmmodes.constructions import (
     product_of_triangles,
     univariate_pair,
 )
-from gmmodes.errors import TooFewSamples
+from gmmodes.errors import InvalidParameter, TooFewSamples
 from gmmodes.mixture import affine_transform, make_mixture
 from gmmodes.modefinder import (
     AscentOptions,
     ascend,
+    _halton,
     default_starts,
     find_critical_points,
     fixed_point_step,
@@ -190,6 +194,28 @@ def test_default_starts_deterministic():
     a = default_starts(scen, budget=100, seed=9)
     b = default_starts(scen, budget=100, seed=9)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_halton_matches_scipy(d):
+    for seed in (0, 1, 7, 2024):
+        for n in (1, 200, 2250):
+            ref = qmc.Halton(d, scramble=True, seed=seed).random(n)
+            assert np.array_equal(_halton(n, d, seed), ref)
+
+
+def test_default_starts_rejects_bad_inputs():
+    scen = cross_example()
+    with pytest.raises(InvalidParameter):
+        default_starts(scen, budget=1)
+    with pytest.raises(InvalidParameter):
+        default_starts(scen, budget=50, seed=-1)
+    lo, hi = scen.search_box
+    boxes = [(hi, lo), (lo, np.array([hi[0], lo[1]])), (np.array([np.nan, lo[1]]), hi),
+             (lo, np.array([np.inf, hi[1]]))]
+    for box in boxes:
+        with pytest.raises(InvalidParameter):
+            default_starts(dataclasses.replace(scen, search_box=box), budget=50)
 
 
 # ----------------------------------------------------------------------
