@@ -20,6 +20,8 @@ import io
 from dataclasses import dataclass
 from math import comb
 
+from .errors import InvalidParameter
+
 __all__ = [
     "BoundSet",
     "lower",
@@ -46,7 +48,7 @@ class BoundSet:
 
 def _check(d: int, k: int) -> None:
     if d < 1 or k < 1:
-        raise ValueError(f"d and k must be >= 1, got d={d}, k={k}")
+        raise InvalidParameter(f"d and k must be >= 1, got d={d}, k={k}")
 
 
 def lower(d: int, k: int) -> int:
@@ -77,9 +79,9 @@ def fewnomial(degrees, k: int) -> int:
     """
     degrees = [int(x) for x in degrees]
     if len(degrees) == 0 or any(x < 1 for x in degrees):
-        raise ValueError(f"degrees must be a nonempty sequence of positive ints, got {degrees}")
+        raise InvalidParameter(f"degrees must be a nonempty sequence of positive ints, got {degrees}")
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise InvalidParameter(f"k must be >= 0, got {k}")
     n = len(degrees)
     total = sum(degrees)
     prod = 1

@@ -33,7 +33,13 @@ from .constructions import (
     seven_mode_probe,
     univariate_pair,
 )
-from .errors import GmModesError, UnknownScenario, UnsupportedDimension
+from .errors import (
+    DimensionMismatch,
+    GmModesError,
+    InvalidParameter,
+    UnknownScenario,
+    UnsupportedDimension,
+)
 from .mixture import Mixture, load_mixture, mixture_to_dict
 from .modefinder import (
     AscentOptions,
@@ -85,7 +91,12 @@ def _scenario_for_mixture(mix: Mixture, meta: dict | None) -> Scenario:
     from .constructions import _search_box
 
     if meta is not None and "search_box" in meta:
-        box = (np.asarray(meta["search_box"]["lo"]), np.asarray(meta["search_box"]["hi"]))
+        try:
+            box = tuple(np.asarray(meta["search_box"][end], dtype=float) for end in ("lo", "hi"))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameter(f"metadata search_box needs numeric lo and hi ({exc!r})") from exc
+        if box[0].shape != (mix.dim,) or box[1].shape != (mix.dim,):
+            raise DimensionMismatch(f"metadata search_box does not match dim {mix.dim}")
         name = meta.get("name", "file")
         expected = meta.get("expected_modes")
         provenance = meta.get("provenance", "none")
@@ -151,18 +162,30 @@ def cmd_construct(args) -> int:
     return 0
 
 
+def _load_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidParameter(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise InvalidParameter(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_mixture_file(path: str) -> tuple[Mixture, dict | None]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    obj = doc.get("mixture", doc)  # accept bare schema or enveloped file
+    doc = _load_json(path)
+    if isinstance(doc, dict):
+        doc = doc.get("mixture", doc)  # accept bare schema or enveloped file
     from .mixture import mixture_from_dict
 
-    mix = mixture_from_dict(obj)
+    mix = mixture_from_dict(doc)
     meta = None
     meta_path = path.replace(".mixture.json", ".meta.json")
     if meta_path != path and os.path.exists(meta_path):
-        with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh).get("metadata")
+        doc = _load_json(meta_path)
+        meta = doc.get("metadata") if isinstance(doc, dict) else doc
+        if meta is not None and not isinstance(meta, dict):
+            raise InvalidParameter(f"{meta_path}: metadata must be a JSON object")
     return mix, meta
 
 
@@ -212,18 +235,27 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _corner(text: str | None, dim: int, default: np.ndarray) -> np.ndarray:
+    """A box corner from a comma-separated --lo/--hi value, else the default."""
+    if text is None:
+        return default
+    try:
+        corner = np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise InvalidParameter(f"corner {text!r} is not comma-separated numbers") from exc
+    if corner.shape != (dim,):
+        raise DimensionMismatch(f"corner {text!r} has {corner.size} coordinates, the mixture has {dim}")
+    return corner
+
+
 def cmd_scan(args) -> int:
     mix, meta = _load_mixture_file(args.mixture)
     if mix.dim not in (1, 2):
         raise UnsupportedDimension(f"grid scan supports d in {{1, 2}}, got d={mix.dim}")
-    if args.res > 2000:
-        raise GmModesError(f"resolution {args.res} exceeds the 2000-per-axis cap")
+    if not 1 <= args.res <= 2000:
+        raise InvalidParameter(f"resolution {args.res} is outside 1..2000 per axis")
     scen = _scenario_for_mixture(mix, meta)
-    lo, hi = scen.search_box
-    if args.lo is not None:
-        lo = np.array([float(v) for v in args.lo.split(",")])
-    if args.hi is not None:
-        hi = np.array([float(v) for v in args.hi.split(",")])
+    lo, hi = (_corner(text, mix.dim, box) for text, box in zip((args.lo, args.hi), scen.search_box))
     out = io.StringIO()
     writer = csv.writer(out)
     if mix.dim == 1:
@@ -249,6 +281,8 @@ def cmd_ridgeline(args) -> int:
     mix, _ = _load_mixture_file(args.mixture)
     if mix.k != 2:
         raise GmModesError(f"ridgeline export requires exactly 2 components, got {mix.k}")
+    if args.samples < 1:
+        raise InvalidParameter(f"--samples must be >= 1, got {args.samples}")
     t = np.linspace(0.0, 1.0, args.samples)
     x, _dx = _ridgeline_curve_k2(mix, t)
     ld = mix.log_density(x)

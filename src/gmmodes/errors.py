@@ -38,8 +38,8 @@ class SingularTransform(GmModesError):
     pass
 
 
-class InvalidParameter(GmModesError):
-    pass
+class InvalidParameter(GmModesError, ValueError):
+    """An option, argument or input document is malformed or out of range."""
 
 
 class GenericityFailure(GmModesError):

@@ -4,11 +4,12 @@ A :class:`Mixture` is a convex combination of Gaussian components. Each
 component is stored in one numerical form, its whitening factor
 W = L^{-1} (the inverse of the lower Cholesky factor of its covariance):
 quadratic forms are sums of squares ||W (x - mu)||^2, never an explicit
-precision inside a quadratic form, and precisions are formed as W^T W
-where a step needs them. Density, gradient and Hessian are accumulated
-in a max-shifted log scale so that mixtures whose component peak heights
-differ by hundreds of orders of magnitude (normal variances as small as
-~1e-9) still evaluate without overflow or underflow.
+precision inside a quadratic form. The precisions W^T W that gradients,
+Hessians and mean-shift steps need are formed once per mixture. Density,
+gradient and Hessian are accumulated in a max-shifted log scale so that
+mixtures whose component peak heights differ by hundreds of orders of
+magnitude (normal variances as small as ~1e-9) still evaluate without
+overflow or underflow.
 
 :func:`derivatives` is the batched kernel: log-density, responsibilities,
 grad f / f and Hess f / f for all rows of an (m, d) array from one
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidParameter,
     NegativeWeight,
     NonFinite,
     NonSPD,
@@ -93,6 +95,7 @@ class Mixture:
     # Stacked per-component arrays for vectorized evaluation.
     _means: np.ndarray = field(repr=False)       # (k, d)
     _whitens: np.ndarray = field(repr=False)     # (k, d, d) lower, L^{-1}
+    _precisions: np.ndarray = field(repr=False)  # (k, d, d) W^T W, exactly symmetric
     _log_weights: np.ndarray = field(repr=False)  # (k,)
     _log_norms: np.ndarray = field(repr=False)    # (k,)
 
@@ -111,12 +114,6 @@ class Mixture:
     @property
     def covariances(self) -> np.ndarray:
         return np.stack([c.cov for c in self.components])
-
-    @property
-    def _precisions(self) -> np.ndarray:
-        """Component precisions W^T W, shape (k, d, d), exactly symmetric."""
-        P = np.swapaxes(self._whitens, 1, 2) @ self._whitens
-        return 0.5 * (P + np.swapaxes(P, 1, 2))
 
     # ------------------------------------------------------------------
     # Batched internals. X has shape (m, d); all returns are per-point.
@@ -152,15 +149,11 @@ class Mixture:
         the scale-free ascent convergence test needs.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self._grad_from_resp(X, self.responsibilities(X))
+        return np.einsum("km,kmd->md", self.responsibilities(X), self._pulls(X))
 
-    def _grad_from_resp(self, X: np.ndarray, resp: np.ndarray) -> np.ndarray:
-        """grad f / f = sum_i r_i P_i (mu_i - x) given responsibilities (k, m)."""
-        return np.einsum("km,kmd->md", resp, self._pulls(X, self._precisions))
-
-    def _pulls(self, X: np.ndarray, precisions: np.ndarray) -> np.ndarray:
+    def _pulls(self, X: np.ndarray) -> np.ndarray:
         """Per-component P_i (mu_i - x) for every row of X, shape (k, m, d)."""
-        return (self._means[:, None, :] - X[None, :, :]) @ precisions
+        return (self._means[:, None, :] - X[None, :, :]) @ self._precisions
 
     # ------------------------------------------------------------------
 
@@ -257,6 +250,7 @@ def make_mixture(weights, means, covariances) -> Mixture:
     weights = weights / s
 
     whitens = np.stack([_whitening_factor(cov, i) for i, cov in enumerate(covs)])
+    precisions = np.swapaxes(whitens, 1, 2) @ whitens
     # log det(cov)^{-1/2} = sum log diag(W), since diag(W) = 1 / diag(L).
     log_det_w = np.sum(np.log(np.diagonal(whitens, axis1=1, axis2=2)), axis=1)
     log_norms = log_det_w - 0.5 * d * np.log(2.0 * np.pi)
@@ -276,6 +270,7 @@ def make_mixture(weights, means, covariances) -> Mixture:
         components=comps,
         _means=np.stack([c.mean for c in comps]),
         _whitens=whitens,
+        _precisions=0.5 * (precisions + np.swapaxes(precisions, 1, 2)),
         _log_weights=log_w,
         _log_norms=log_norms,
     )
@@ -294,11 +289,10 @@ def derivatives(mix: Mixture, X) -> Derivatives:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
     log_density, resp = mix._log_density_resp(X)             # (m,), (k, m)
-    P = mix._precisions
-    G = mix._pulls(X, P)                                     # (k, m, d)
+    G = mix._pulls(X)                                        # (k, m, d)
     RG = resp[:, :, None] * G
     hess = np.einsum("kmd,kme->mde", RG, G)
-    hess -= (resp.T @ P.reshape(mix.k, d * d)).reshape(m, d, d)
+    hess -= (resp.T @ mix._precisions.reshape(mix.k, d * d)).reshape(m, d, d)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     return Derivatives(log_density, resp, np.sum(RG, axis=0), hess)
 
@@ -391,14 +385,21 @@ def mixture_to_dict(mix: Mixture) -> dict:
 
 
 def mixture_from_dict(obj: dict) -> Mixture:
-    """Rebuild a mixture from its JSON object, re-validating all invariants."""
-    comps = obj["components"]
-    d = int(obj["dim"])
-    mix = make_mixture(
-        [c["weight"] for c in comps],
-        [c["mean"] for c in comps],
-        [c["cov"] for c in comps],
-    )
+    """Rebuild a mixture from its JSON object, re-validating all invariants.
+
+    ``InvalidParameter`` if the object does not follow the schema above.
+    """
+    if not isinstance(obj, dict):
+        raise InvalidParameter(f"a mixture document is a JSON object, not {type(obj).__name__}")
+    try:
+        d = int(obj["dim"])
+        comps = obj["components"]
+        weights = [float(c["weight"]) for c in comps]
+        means = [np.asarray(c["mean"], dtype=float) for c in comps]
+        covs = [np.asarray(c["cov"], dtype=float) for c in comps]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"malformed mixture document ({type(exc).__name__}: {exc})") from exc
+    mix = make_mixture(weights, means, covs)
     if mix.dim != d:
         raise DimensionMismatch(f"declared dim {d} != component dim {mix.dim}")
     return mix

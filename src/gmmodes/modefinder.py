@@ -1,16 +1,14 @@
 """Locate, refine, classify and deduplicate critical points of a mixture.
 
-The ascent is two-phase. Phase one iterates the fixed-point map
-
-    x' = [sum_i r_i(x) P_i]^{-1} [sum_i r_i(x) P_i mu_i]
-
-where r_i are the responsibilities and P_i the component precisions;
-this is the mean-shift step and its fixed points are exactly the
-critical points of the density. Phase two polishes with damped Newton
-on the gradient, which also yields the Hessian used for classification.
-Both phases run batched over all active starts, phase two through the
-(m, d) derivative kernel :func:`gmmodes.mixture.derivatives`; a single
-start (:func:`ascend`) is a batch of one.
+Every start climbs, then polishes, in one batched loop over the (m, d)
+derivative kernel :func:`gmmodes.mixture.derivatives`. Climbing takes the
+Newton step where the Hessian is negative definite, else the mean-shift
+step x' = x + A^{-1} grad f / f = A^{-1} sum_i r_i P_i mu_i with
+A = sum_i r_i P_i (r_i the responsibilities, P_i the precisions), whose
+fixed points are exactly the critical points. Polishing is damped Newton,
+which also yields the Hessian used for classification. The multistart
+driver, :func:`ascend` (a batch of one) and the k = 2 ridgeline oracle all
+run through that loop.
 
 All convergence tests are scale-free (||grad f|| / f) because density
 magnitudes across the constructions here differ by hundreds of orders
@@ -46,13 +44,14 @@ __all__ = [
 ]
 
 _CONDITION_LIMIT = 1e14
-# Damped fixed-point steps may not decrease log-density by more than this.
+# Climbing steps may not decrease log-density by more than this.
 _MONOTONE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Tolerances and iteration caps for the two-phase ascent.
+    """Tolerances and iteration caps for the ascent: a start climbs at most
+    ``max_fixed_point_iters`` and polishes at most ``max_newton_iters`` steps.
 
     ``dedup_radius`` of None means 1e-5 times the search-box diameter,
     resolved per run from the bounding box of the starts.
@@ -69,12 +68,12 @@ class AscentOptions:
 
     def __post_init__(self):
         if self.max_fixed_point_iters < 1 or self.max_newton_iters < 1:
-            raise ValueError("iteration caps must be >= 1")
+            raise InvalidParameter("iteration caps must be >= 1")
         for name in ("gradient_tolerance", "step_tolerance", "degenerate_eigen_tolerance"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if self.dedup_radius is not None and self.dedup_radius <= 0.0:
-            raise ValueError("dedup_radius must be > 0")
+            if not getattr(self, name) > 0.0:
+                raise InvalidParameter(f"{name} must be > 0")
+        if self.dedup_radius is not None and not self.dedup_radius > 0.0:
+            raise InvalidParameter("dedup_radius must be > 0")
 
 
 @dataclass(frozen=True)
@@ -182,69 +181,27 @@ def mixture_digest(mix: Mixture) -> str:
 
 
 # ----------------------------------------------------------------------
-# Fixed-point (mean shift) iteration
+# The ascent: climb, then polish, every start in one batched loop
 # ----------------------------------------------------------------------
+
+def _mean_shift_step(mix: Mixture, x: np.ndarray, resp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Mean-shift step x + A^{-1} grad f / f, A = sum_i r_i P_i, for rows with
+    responsibilities resp (m, k)."""
+    A = (resp @ mix._precisions.reshape(mix.k, -1)).reshape(g.shape + g.shape[-1:])
+    return x + np.linalg.solve(A, g[..., None])[..., 0]
+
 
 def fixed_point_step(mix: Mixture, x) -> np.ndarray:
     """One mean-shift step from x; fixed points are critical points."""
     x = np.asarray(x, dtype=float).ravel()
     if not np.all(np.isfinite(x)):
         raise NonFinite(f"start contains non-finite entries: {x}")
-    return _fixed_point_batch(mix, mix.responsibilities(x[None, :]))[0]
+    _, resp, g, _ = derivatives(mix, x[None, :])
+    return _mean_shift_step(mix, x[None, :], resp.T, g)[0]
 
 
-def _fixed_point_batch(mix: Mixture, resp: np.ndarray) -> np.ndarray:
-    """Vectorized mean-shift step for points with responsibilities resp (k, m)."""
-    precs = mix._precisions
-    P = np.einsum("km,kst->mst", resp, precs)
-    pmu = np.einsum("kst,kt->ks", precs, mix._means)              # (k, d)
-    rhs = np.einsum("km,ks->ms", resp, pmu)
-    return np.linalg.solve(P, rhs[..., None])[..., 0]
-
-
-def _mean_shift(mix: Mixture, X: np.ndarray, opts: AscentOptions) -> np.ndarray:
-    """Phase one: damped fixed-point ascent of every row of X at once.
-
-    A row stops once ||grad f / f|| falls below 1e3 * gradient_tolerance or
-    its step below step_tolerance; a step that lowers log-density by more
-    than the monotone slack is halved toward its origin (at most 60 times).
-    """
-    coarse_tol = 1e3 * opts.gradient_tolerance
-    X = X.copy()
-    # Log-density and responsibilities of every row, kept current so each
-    # point's log_terms are computed once.
-    logf, resp = mix._log_density_resp(X)
-    active = np.ones(X.shape[0], dtype=bool)
-    for _ in range(opts.max_fixed_point_iters):
-        if not np.any(active):
-            break
-        idx = np.flatnonzero(active)
-        g = mix._grad_from_resp(X[idx], resp[:, idx])
-        done = np.linalg.norm(g, axis=1) < coarse_tol
-        active[idx[done]] = False
-        idx = idx[~done]
-        if idx.size == 0:
-            continue
-        X_new = _fixed_point_batch(mix, resp[:, idx])
-        logf_new, resp_new = mix._log_density_resp(X_new)
-        for _ in range(60):
-            bad = logf_new < logf[idx] - _MONOTONE_SLACK
-            if not np.any(bad):
-                break
-            X_new[bad] = 0.5 * (X_new[bad] + X[idx[bad]])
-            logf_new[bad], resp_new[:, bad] = mix._log_density_resp(X_new[bad])
-        steps = np.linalg.norm(X_new - X[idx], axis=1)
-        X[idx], logf[idx], resp[:, idx] = X_new, logf_new, resp_new
-        active[idx[steps < opts.step_tolerance]] = False
-    return X
-
-
-# ----------------------------------------------------------------------
-# Newton refinement and classification
-# ----------------------------------------------------------------------
-
-class _Polished(NamedTuple):
-    """Phase-two endpoints of m starts, row-aligned."""
+class _Endpoints(NamedTuple):
+    """Ascent endpoints of m starts, row-aligned."""
 
     x: np.ndarray             # (m, d)
     log_density: np.ndarray   # (m,)
@@ -268,61 +225,108 @@ class _Polished(NamedTuple):
         )
 
 
-def _newton_polish(mix: Mixture, X: np.ndarray, opts: AscentOptions, step_cap: float) -> _Polished:
-    """Damped Newton on grad f for every row of X at once.
+def _state(mix: Mixture, X: np.ndarray):
+    """(X, log f, responsibilities (m, k), grad f / f, Hess f / f) at the rows of X."""
+    logf, resp, g, h = derivatives(mix, X)
+    return [X, logf, resp.T, g, h]
 
-    Each row follows its own rules: the Hessian's tiny eigenvalues are
-    floored keeping their sign, a step is capped at ``step_cap`` and halved
-    toward its origin (at most 30 times) while it more than doubles
-    ||grad f / f||, a row stops once it moves less than ``step_tolerance``
-    or after ``max_newton_iters`` steps, and it has converged when
-    ||grad f / f|| is within ``gradient_tolerance``.
+
+def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float):
+    """Newton steps -H^{-1} g capped at step_cap, and whether each H is negative
+    definite. Only the solve is regularized: tiny eigenvalues are clamped away
+    from zero keeping their sign, so saddles are still repelled."""
+    w, V = np.linalg.eigh(h)
+    floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
+    concave = w[:, -1] < 0.0
+    w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
+    step = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g) / w)
+    norm = np.linalg.norm(step, axis=1)
+    long = norm > step_cap
+    step[long] *= (step_cap / norm[long])[:, None]
+    return step, concave
+
+
+def _ascend_batch(
+    mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float, polishing=None
+) -> _Endpoints:
+    """Ascend from every row of X at once: each row climbs, then polishes.
+
+    Each iteration makes one :func:`derivatives` call over the active rows,
+    plus one per repair round over the rows whose step was rejected. Every
+    rule is per row, so an endpoint does not depend on the batch:
+
+    - Climbing: the Newton step where Hess f / f is negative definite,
+      else the mean-shift step x + A^{-1} grad f / f, A = sum_i r_i P_i.
+      A Newton step that lowers log f by more than the monotone slack
+      falls back to the mean-shift step (fall-back rule), which is then
+      halved toward its origin while log f drops by more than the slack,
+      at most 60 times.
+    - Handover to polishing: ||grad f / f|| < 1e3 * gradient_tolerance, a
+      step below step_tolerance, or max_fixed_point_iters climbs. Rows
+      marked in ``polishing`` start there.
+    - Polishing: damped Newton, a step halved toward its origin (at most
+      30 times) while it more than doubles ||grad f / f||, until a step
+      below step_tolerance or max_newton_iters steps. It goes past the
+      gradient test so that starts in flat regions land on one point
+      rather than scattering across the plateau. A row already within
+      gradient_tolerance whose step is rejected keeps its point and stops
+      (settle rule): at the noise floor halving cannot help.
+    - Newton steps floor tiny Hessian eigenvalues, keeping their sign, and
+      are capped at scale / 2 (:func:`_newton_step`).
+
+    A row has converged when ||grad f / f|| <= gradient_tolerance at its
+    endpoint. The working set is compacted only when rows finish.
     """
+    tol, step_cap = opts.gradient_tolerance, 0.5 * max(scale, 1e-300)
     X = np.array(X, dtype=float)
-    der = derivatives(mix, X)
-    logf, G, H = der.log_density, der.grad_over_density, der.hessian_over_density
-    active = np.ones(X.shape[0], dtype=bool)
-    for _ in range(opts.max_newton_iters):
-        # Polish past the gradient test down to step_tolerance so that in
-        # flat (near-degenerate) regions every start lands on the same
-        # point instead of scattering across the plateau.
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            break
-        g = G[idx]
-        # Regularize only the linear solve: clamp tiny eigenvalues away
-        # from zero, keeping their sign so saddles are still repelled.
-        w, V = np.linalg.eigh(H[idx])
-        floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
-        w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
-        step = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g) / w)
-        norm = np.linalg.norm(step, axis=1)
-        long = norm > step_cap
-        step[long] *= (step_cap / norm[long])[:, None]
-        x = X[idx]
-        x_new = x + step
-        new = derivatives(mix, x_new)
-        logf_new, g_new, H_new = new.log_density, new.grad_over_density, new.hessian_over_density
-        # Back off if Newton overshoots into a lower-gradient-free region.
+    n, d = X.shape
+    out = [X, np.empty(n), np.empty((n, d)), np.empty((n, d, d))]  # x, log f, grad, Hess
+    rows = np.arange(n)
+    polish = np.zeros(n, dtype=bool) if polishing is None else np.array(polishing, dtype=bool)
+    steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
+    stalled = np.zeros(n, dtype=bool)  # the last step was below step_tolerance
+    cur = _state(mix, X.copy())
+    while rows.size:
+        x, logf, resp, g, h = cur
         g_norm = np.linalg.norm(g, axis=1)
-        for _ in range(30):
-            bad = np.linalg.norm(g_new, axis=1) > 2.0 * g_norm
-            if not np.any(bad):
+        start = ~polish & ((g_norm < 1e3 * tol) | stalled | (steps >= opts.max_fixed_point_iters))
+        polish[start], steps[start] = True, 0
+        step, concave = _newton_step(g, h, step_cap)
+        newton = polish | concave
+        x_new = x + step
+        shift = ~newton
+        x_new[shift] = _mean_shift_step(mix, x[shift], resp[shift], g[shift])
+        new = _state(mix, x_new)
+        halvings = np.zeros(rows.size, dtype=int)
+        while True:
+            drop = ~polish & (new[1] < logf - _MONOTONE_SLACK)
+            fall = drop & newton
+            worse = polish & (np.linalg.norm(new[3], axis=1) > 2.0 * g_norm)
+            settle = worse & (g_norm <= tol)
+            if np.any(settle):
+                for a, b in zip(new, cur):
+                    a[settle] = b[settle]
+            redo = fall | (drop & ~newton & (halvings < 60)) | (worse & ~settle & (halvings < 30))
+            if not np.any(redo):
                 break
-            x_new[bad] = 0.5 * (x_new[bad] + x[bad])
-            sub = derivatives(mix, x_new[bad])
-            logf_new[bad] = sub.log_density
-            g_new[bad] = sub.grad_over_density
-            H_new[bad] = sub.hessian_over_density
-        moved = np.linalg.norm(x_new - x, axis=1)
-        X[idx], logf[idx], G[idx], H[idx] = x_new, logf_new, g_new, H_new
-        active[idx[moved < opts.step_tolerance]] = False
-    return _Polished(X, logf, G, H, np.linalg.norm(G, axis=1) <= opts.gradient_tolerance)
-
-
-def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float) -> _Polished:
-    """Both phases for every row of X; ``scale`` caps Newton steps at scale / 2."""
-    return _newton_polish(mix, _mean_shift(mix, X, opts), opts, step_cap=0.5 * max(scale, 1e-300))
+            halve = redo & ~fall
+            x_new[halve] = 0.5 * (x_new[halve] + x[halve])
+            halvings[halve] += 1
+            x_new[fall] = _mean_shift_step(mix, x[fall], resp[fall], g[fall])
+            newton[fall] = False
+            for a, b in zip(new, _state(mix, x_new[redo])):
+                a[redo] = b
+        stalled = np.linalg.norm(x_new - x, axis=1) < opts.step_tolerance
+        cur = new
+        steps += 1
+        done = polish & (stalled | (steps >= opts.max_newton_iters))
+        if np.any(done):
+            for a, b in zip(out, (cur[0], cur[1], cur[3], cur[4])):
+                a[rows[done]] = b[done]
+            keep = ~done
+            rows, polish, steps, stalled = rows[keep], polish[keep], steps[keep], stalled[keep]
+            cur = [a[keep] for a in cur]
+    return _Endpoints(*out, np.linalg.norm(out[2], axis=1) <= tol)
 
 
 _PROBE_FRACTIONS = (1e-4, 1e-3, 1e-2)
@@ -371,7 +375,7 @@ def _classify(mix: Mixture, x: np.ndarray, hess: np.ndarray, opts: AscentOptions
 
 
 def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | None = None) -> CriticalPoint:
-    """Run the two-phase ascent from one start and classify the endpoint.
+    """Run the ascent from one start and classify the endpoint.
 
     ``scale`` is the search-box diameter used for Newton step capping and
     degenerate probing; it defaults to a spread estimate from the means.
@@ -491,7 +495,7 @@ def _dedup(points: np.ndarray, order_key, radius):
     return clusters
 
 
-def _distinct_critical_points(mix: Mixture, pol: _Polished, opts, scale: float, radius: float):
+def _distinct_critical_points(mix: Mixture, pol: _Endpoints, opts, scale: float, radius: float):
     """Dedup the converged rows of pol and classify each cluster's row of
     smallest ||grad f / f||."""
     # Deterministic dedup order: lexicographic by location.
@@ -511,10 +515,10 @@ def find_critical_points(
 ) -> ModeReport:
     """Multistart search: ascend from every start, dedup and classify.
 
-    Both phases run vectorized over all active starts; the outcome is
+    The ascent runs vectorized over all active starts; the outcome is
     identical to running :func:`ascend` sequentially because every start
-    follows the same damped iteration (``ascend`` is this path as a batch
-    of one), and deduplication is performed on a deterministic
+    follows its own rules in the same loop (``ascend`` is this path as a
+    batch of one), and deduplication is performed on a deterministic
     lexicographic ordering of the converged points.
     """
     opts = opts or AscentOptions()
@@ -607,14 +611,14 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions |
     Every critical point lies on the ridgeline curve x*(t), t in [0, 1],
     and is a zero of d f(x*(t)) / dt. The derivative is evaluated in
     closed form on a uniform grid, each sign change is bisected to an
-    interval below 1e-12, and the resulting points are polished with
-    Newton on grad f and deduplicated.
+    interval below 1e-12, and the resulting points enter the shared ascent
+    already polishing (damped Newton, so saddles are found too) and are
+    deduplicated.
 
-    The two component means (the curve endpoints) are always polished as
-    well: a critical point whose minority responsibility underflows the
-    grid spacing, or even the floating-point gap around t = 0 or 1, has
-    no representable sign change in t but sits inside Newton's basin
-    around the corresponding mean.
+    The two component means (the curve endpoints) always enter it too,
+    climbing: a mode whose minority responsibility underflows the grid
+    spacing, or even the floating-point gap around t = 0 or 1, has no
+    representable sign change in t but sits near the corresponding mean.
     """
     if mix.k != 2:
         raise ValueError(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
@@ -643,7 +647,8 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions |
 
     scale = _default_scale(mix)
     seeds = np.concatenate([_ridgeline_curve_k2(mix, roots)[0], mix._means])
-    pol = _newton_polish(mix, seeds, opts, step_cap=0.5 * scale)
+    polishing = np.arange(len(seeds)) < len(roots)
+    pol = _ascend_batch(mix, seeds, opts, scale, polishing)
     radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale
     return _distinct_critical_points(mix, pol, opts, scale, radius)
 

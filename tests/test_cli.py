@@ -218,3 +218,51 @@ def test_modes_and_verify_load_no_scipy(tmp_path, capsys):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def _with_mixture(doc, **fields):
+    return json.dumps({**doc, "mixture": {**doc["mixture"], **fields}})
+
+
+# Input from outside the program: each case must end in one `error:` line and
+# exit 2, not a traceback. MIXTURE stands for a constructed cross mixture file,
+# first rewritten by mixture_text and its sidecar by meta_edit.
+@pytest.mark.parametrize(
+    "mixture_text, meta_edit, argv",
+    [
+        pytest.param(lambda doc: '{"dim": 2}', None, ["modes", "MIXTURE"], id="dim-only"),
+        pytest.param(lambda doc: "[1, 2]", None, ["modes", "MIXTURE"], id="top-level-list"),
+        pytest.param(lambda doc: _with_mixture(doc, components=[{"weight": 1.0, "mean": [0.0, 0.0]}]),
+                     None, ["modes", "MIXTURE"], id="component-without-cov"),
+        pytest.param(lambda doc: _with_mixture(doc, dim="x"), None, ["modes", "MIXTURE"], id="dim-not-a-number"),
+        pytest.param(lambda doc: json.dumps(doc)[:40], None, ["modes", "MIXTURE"], id="truncated-json"),
+        pytest.param(lambda doc: None, None, ["modes", "MIXTURE"], id="missing-file"),
+        pytest.param(None, lambda meta: meta["metadata"]["search_box"].pop("hi"), ["modes", "MIXTURE"],
+                     id="meta-box-without-hi"),
+        pytest.param(None, None, ["scan", "MIXTURE", "--lo", "a,b"], id="scan-lo-not-numbers"),
+        pytest.param(None, None, ["scan", "MIXTURE", "--lo", "0"], id="scan-lo-wrong-dim"),
+        pytest.param(None, None, ["scan", "MIXTURE", "--res", "-5"], id="scan-negative-res"),
+        pytest.param(None, None, ["ridgeline", "MIXTURE", "--samples", "-3"], id="ridgeline-negative-samples"),
+        pytest.param(None, None, ["modes", "MIXTURE", "--dedup-radius", "-1"], id="modes-negative-dedup-radius"),
+        pytest.param(None, None, ["modes", "MIXTURE", "--grad-tol", "0"], id="modes-zero-grad-tol"),
+        pytest.param(None, None, ["bounds", "--d", "-1", "--k", "2"], id="bounds-negative-d"),
+    ],
+)
+def test_bad_outside_input_is_an_error_line(tmp_path, capsys, mixture_text, meta_edit, argv):
+    base = tmp_path / "c"
+    run(capsys, "construct", "cross", "--output", str(base))
+    path = tmp_path / "c.mixture.json"
+    if mixture_text is not None:
+        text = mixture_text(json.loads(path.read_text()))
+        if text is None:
+            path.unlink()
+        else:
+            path.write_text(text)
+    if meta_edit is not None:
+        meta_path = tmp_path / "c.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta_edit(meta)
+        meta_path.write_text(json.dumps(meta))
+    code, out, err = run(capsys, *(str(path) if a == "MIXTURE" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error:") and out == ""

@@ -12,10 +12,11 @@ from gmmodes.constructions import (
     generic_arrangement,
     arrangement_scenario,
     product_of_triangles,
+    scenario_catalog,
     univariate_pair,
 )
 from gmmodes.errors import InvalidParameter, TooFewSamples
-from gmmodes.mixture import affine_transform, make_mixture
+from gmmodes.mixture import Mixture, affine_transform, make_mixture
 from gmmodes.modefinder import (
     AscentOptions,
     ascend,
@@ -166,6 +167,32 @@ def test_driver_identical_to_sequential_ascend(scenario, starts):
         hits[near[0]] += 1
     assert converged == rep.starts_converged
     assert hits == [p.converged_from for p in rep.critical_points]
+
+
+@pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda scen: scen.name)
+def test_ascend_from_critical_point_stays_put(scenario, monkeypatch):
+    # A start already at a critical point settles there at once, rather than
+    # halving steps at the noise floor.
+    starts = default_starts(scenario, budget=200, seed=0)
+    rep = find_critical_points(scenario.mixture, starts, search_box=scenario.search_box)
+    lo, hi = scenario.search_box
+    scale = float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)))
+    calls = []
+    log_terms = Mixture.log_terms
+
+    def counted(self, X):
+        calls.append(X)
+        return log_terms(self, X)
+
+    monkeypatch.setattr(Mixture, "log_terms", counted)
+    for cp in rep.critical_points:
+        if cp.kind == "degenerate" or cp.degenerate_hessian:
+            continue
+        calls.clear()
+        end = ascend(scenario.mixture, cp.location, scale=scale)
+        assert end.converged
+        assert np.linalg.norm(end.location - cp.location) <= 1e-12
+        assert len(calls) <= 3
 
 
 # ----------------------------------------------------------------------
