@@ -83,8 +83,11 @@ def _write(text: str, path: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _scenario_for_mixture(mix: Mixture, meta: dict | None) -> Scenario:

@@ -191,13 +191,28 @@ def _mean_shift_step(mix: Mixture, x: np.ndarray, resp: np.ndarray, g: np.ndarra
     return x + np.linalg.solve(A, g[..., None])[..., 0]
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an (m, d) array."""
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _as_starts(mix: Mixture, starts) -> np.ndarray:
+    """Starts as a checked (m, dim) float array."""
+    X = np.atleast_2d(np.asarray(starts, dtype=float))
+    if X.size == 0:
+        raise InvalidParameter("at least one start is required")
+    if X.ndim != 2 or X.shape[1] != mix.dim:
+        raise DimensionMismatch(f"starts have shape {X.shape}, expected (m, {mix.dim})")
+    if not np.all(np.isfinite(X)):
+        raise NonFinite("starts contain non-finite entries")
+    return X
+
+
 def fixed_point_step(mix: Mixture, x) -> np.ndarray:
     """One mean-shift step from x; fixed points are critical points."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise NonFinite(f"start contains non-finite entries: {x}")
-    _, resp, g, _ = derivatives(mix, x[None, :])
-    return _mean_shift_step(mix, x[None, :], resp.T, g)[0]
+    X = _as_starts(mix, np.ravel(x)[None, :])
+    _, resp, g, _ = derivatives(mix, X)
+    return _mean_shift_step(mix, X, resp.T, g)[0]
 
 
 class _Endpoints(NamedTuple):
@@ -240,7 +255,7 @@ def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float):
     concave = w[:, -1] < 0.0
     w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
     step = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g) / w)
-    norm = np.linalg.norm(step, axis=1)
+    norm = _row_norms(step)
     long = norm > step_cap
     step[long] *= (step_cap / norm[long])[:, None]
     return step, concave
@@ -288,20 +303,21 @@ def _ascend_batch(
     cur = _state(mix, X.copy())
     while rows.size:
         x, logf, resp, g, h = cur
-        g_norm = np.linalg.norm(g, axis=1)
+        g_norm = _row_norms(g)
         start = ~polish & ((g_norm < 1e3 * tol) | stalled | (steps >= opts.max_fixed_point_iters))
         polish[start], steps[start] = True, 0
         step, concave = _newton_step(g, h, step_cap)
         newton = polish | concave
         x_new = x + step
         shift = ~newton
-        x_new[shift] = _mean_shift_step(mix, x[shift], resp[shift], g[shift])
+        if np.any(shift):
+            x_new[shift] = _mean_shift_step(mix, x[shift], resp[shift], g[shift])
         new = _state(mix, x_new)
         halvings = np.zeros(rows.size, dtype=int)
         while True:
             drop = ~polish & (new[1] < logf - _MONOTONE_SLACK)
             fall = drop & newton
-            worse = polish & (np.linalg.norm(new[3], axis=1) > 2.0 * g_norm)
+            worse = polish & (_row_norms(new[3]) > 2.0 * g_norm)
             settle = worse & (g_norm <= tol)
             if np.any(settle):
                 for a, b in zip(new, cur):
@@ -312,11 +328,12 @@ def _ascend_batch(
             halve = redo & ~fall
             x_new[halve] = 0.5 * (x_new[halve] + x[halve])
             halvings[halve] += 1
-            x_new[fall] = _mean_shift_step(mix, x[fall], resp[fall], g[fall])
-            newton[fall] = False
+            if np.any(fall):
+                x_new[fall] = _mean_shift_step(mix, x[fall], resp[fall], g[fall])
+                newton[fall] = False
             for a, b in zip(new, _state(mix, x_new[redo])):
                 a[redo] = b
-        stalled = np.linalg.norm(x_new - x, axis=1) < opts.step_tolerance
+        stalled = _row_norms(x_new - x) < opts.step_tolerance
         cur = new
         steps += 1
         done = polish & (stalled | (steps >= opts.max_newton_iters))
@@ -326,7 +343,7 @@ def _ascend_batch(
             keep = ~done
             rows, polish, steps, stalled = rows[keep], polish[keep], steps[keep], stalled[keep]
             cur = [a[keep] for a in cur]
-    return _Endpoints(*out, np.linalg.norm(out[2], axis=1) <= tol)
+    return _Endpoints(*out, _row_norms(out[2]) <= tol)
 
 
 _PROBE_FRACTIONS = (1e-4, 1e-3, 1e-2)
@@ -382,12 +399,10 @@ def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | N
     This is :func:`find_critical_points`' per-start path, as a batch of one.
     """
     opts = opts or AscentOptions()
-    x = np.asarray(x0, dtype=float).ravel()
-    if not np.all(np.isfinite(x)):
-        raise NonFinite(f"start contains non-finite entries: {x}")
+    X = _as_starts(mix, np.ravel(x0)[None, :])
     if scale is None:
         scale = _default_scale(mix)
-    return _ascend_batch(mix, x[None, :], opts, scale).critical_point(0, mix, opts, scale)
+    return _ascend_batch(mix, X, opts, scale).critical_point(0, mix, opts, scale)
 
 
 def _default_scale(mix: Mixture) -> float:
@@ -499,8 +514,9 @@ def _distinct_critical_points(mix: Mixture, pol: _Endpoints, opts, scale: float,
     """Dedup the converged rows of pol and classify each cluster's row of
     smallest ||grad f / f||."""
     # Deterministic dedup order: lexicographic by location.
-    conv_idx = sorted(np.flatnonzero(pol.converged), key=lambda i: tuple(pol.x[i]))
-    grad_norms = np.linalg.norm(pol.grad, axis=1)
+    conv_idx = np.flatnonzero(pol.converged)
+    conv_idx = conv_idx[np.lexsort(pol.x[conv_idx].T[::-1])]
+    grad_norms = _row_norms(pol.grad)
     return [
         pol.critical_point(min(cl, key=lambda i: grad_norms[i]), mix, opts, scale, converged_from=len(cl))
         for cl in _dedup(pol.x, conv_idx, radius)
@@ -522,12 +538,8 @@ def find_critical_points(
     lexicographic ordering of the converged points.
     """
     opts = opts or AscentOptions()
-    X = np.atleast_2d(np.asarray(starts, dtype=float))
+    X = _as_starts(mix, starts)
     m = X.shape[0]
-    if m < 1:
-        raise ValueError("at least one start is required")
-    if not np.all(np.isfinite(X)):
-        raise NonFinite("starts contain non-finite entries")
 
     if search_box is not None:
         lo, hi = (np.asarray(a, dtype=float) for a in search_box)
@@ -585,35 +597,90 @@ def _ridgeline_solve(precisions: np.ndarray, means: np.ndarray, alpha: np.ndarra
     return np.linalg.solve(P, rhs)
 
 
+def _ridgeline_k2(mix: Mixture):
+    """Closed-form ridgeline of a 2-component mixture: a function t ->
+    (x*(t), dx*/dt) for alpha = (t, 1 - t), vectorized over t.
+
+    With s the weight of component a, L_b the Cholesky factor of the other
+    one and the SVD W_a L_b = Y S V^T, the basis B = L_b V diagonalizes
+    s P_a + (1 - s) P_b to diag(s lam + 1 - s), lam = S^2, so
+    x* = mu_b + B s e / (s lam + 1 - s) and dx*/ds = B e / (s lam + 1 - s)^2
+    with e = S Y^T W_a (mu_a - mu_b). Each half of the curve is taken from
+    its own end (a = 1, s = t up to t = 1/2, then a = 2, s = 1 - t), so the
+    denominator stays >= 1/2 and no small singular value is divided by.
+    """
+    W, mu = mix._whitens, mix._means
+    halves = []
+    for a, b in ((0, 1), (1, 0)):
+        L_b = mix.components[b].chol
+        Y, s, Vt = np.linalg.svd(W[a] @ L_b)
+        halves.append((mu[b], L_b @ Vt.T, s * s, s * (Y.T @ (W[a] @ (mu[a] - mu[b])))))
+
+    def curve(t):
+        t = np.asarray(t, dtype=float)
+        x, dx = np.empty((t.size, mix.dim)), np.empty((t.size, mix.dim))
+        for (mu_b, B, lam, e), s, sign, rows in (
+            (halves[0], t, 1.0, t <= 0.5),
+            (halves[1], 1.0 - t, -1.0, t > 0.5),
+        ):
+            s = s[rows, None]
+            den = s * lam + (1.0 - s)
+            x[rows] = mu_b + (s * e / den) @ B.T
+            dx[rows] = sign * (e / (den * den)) @ B.T
+        return x, dx
+
+    return curve
+
+
 def _ridgeline_curve_k2(mix: Mixture, t: np.ndarray):
     """x*(t) and dx*/dt for alpha = (t, 1 - t), vectorized over t."""
-    P1, P2 = mix._precisions
-    m1 = P1 @ mix._means[0]
-    m2 = P2 @ mix._means[1]
-    P = t[:, None, None] * P1 + (1.0 - t)[:, None, None] * P2
-    rhs = t[:, None] * m1 + (1.0 - t)[:, None] * m2
-    x = np.linalg.solve(P, rhs[..., None])[..., 0]
-    dP_x = np.einsum("st,mt->ms", P1 - P2, x)
-    dx = np.linalg.solve(P, ((m1 - m2)[None, :] - dP_x)[..., None])[..., 0]
-    return x, dx
+    return _ridgeline_k2(mix)(t)
 
 
-def _ridgeline_derivative(mix: Mixture, t: np.ndarray) -> np.ndarray:
-    """Scale-free derivative of f along the ridgeline: (grad f / f) . dx*/dt."""
-    x, dx = _ridgeline_curve_k2(mix, np.atleast_1d(t))
-    g = mix.grad_over_density(x)
-    return np.einsum("md,md->m", g, dx)
+def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
+    """Shrink every bracket [a_i, b_i] with f(a_i) f(b_i) < 0 to width <= ``width``
+    by ITP (Oliveira & Takahashi, ACM TOMS 2020; kappa2 = 2, n0 = 1), with one
+    vectorized call f(x) per round over the open brackets: at most one round
+    more than bisection. An exact zero closes its bracket. Returns (a, b).
+    """
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    eps = 0.5 * width
+    n_max = np.ceil(np.log2(np.maximum((b - a) / width, 1.0))) + 1.0
+    j = 0
+    open_ = np.flatnonzero(b - a > width)
+    while open_.size:
+        ao, bo, fao, fbo = a[open_], b[open_], fa[open_], fb[open_]
+        w = bo - ao
+        mid = ao + 0.5 * w
+        r = np.maximum(eps * 2.0 ** (n_max[open_] - j) - 0.5 * w, 0.0)
+        x_f = ao + w * (fao / (fao - fbo))
+        sigma = np.sign(mid - x_f)
+        delta = kappa1 * w * w
+        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
+        x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
+        # Stay eps inside, or a root pinned within rounding of an endpoint
+        # draws x onto that endpoint round after round; x stays within r.
+        x = np.clip(x, ao + eps, bo - eps)
+        y = f(x)
+        zero = y == 0.0
+        left = ~zero & ((y < 0) == (fao < 0))
+        right = ~zero & ~left
+        a[open_[zero]] = b[open_[zero]] = x[zero]
+        a[open_[left]], fa[open_[left]] = x[left], y[left]
+        b[open_[right]], fb[open_[right]] = x[right], y[right]
+        j += 1
+        open_ = open_[b[open_] - a[open_] > width]
+    return a, b
 
 
 def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions | None = None):
     """Exhaustively enumerate the critical points of a 2-component mixture.
 
     Every critical point lies on the ridgeline curve x*(t), t in [0, 1],
-    and is a zero of d f(x*(t)) / dt. The derivative is evaluated in
-    closed form on a uniform grid, each sign change is bisected to an
-    interval below 1e-12, and the resulting points enter the shared ascent
-    already polishing (damped Newton, so saddles are found too) and are
-    deduplicated.
+    and is a zero of d f(x*(t)) / dt, taken in closed form on a uniform
+    grid. Every sign change is narrowed by ITP to an interval below 1e-12,
+    and the resulting points enter the shared ascent already polishing
+    (damped Newton, so saddles are found too) and are deduplicated.
 
     The two component means (the curve endpoints) always enter it too,
     climbing: a mode whose minority responsibility underflows the grid
@@ -621,32 +688,28 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions |
     representable sign change in t but sits near the corresponding mean.
     """
     if mix.k != 2:
-        raise ValueError(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
+        raise InvalidParameter(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
     if samples < 1000:
         raise TooFewSamples(f"need at least 1000 samples, got {samples}")
     opts = opts or AscentOptions()
+    curve = _ridgeline_k2(mix)
+
+    def slope(t):  # (grad f / f) . dx*/dt
+        x, dx = curve(t)
+        return np.einsum("md,md->m", mix.grad_over_density(x), dx)
 
     t_grid = np.linspace(0.0, 1.0, samples)
-    h = _ridgeline_derivative(mix, t_grid)
+    h = slope(t_grid)
     sign = np.sign(h)
     flips = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
-    # Bisect every bracket at once, one derivative call per halving.
-    a, b, ha = t_grid[flips], t_grid[flips + 1], h[flips]
-    open_ = np.flatnonzero(b - a > 1e-12)
-    while open_.size:
-        mid = 0.5 * (a[open_] + b[open_])
-        hm = _ridgeline_derivative(mix, mid)
-        zero = hm == 0.0
-        left = ~zero & ((ha[open_] < 0) != (hm < 0))
-        right = ~zero & ~left
-        a[open_[zero]] = b[open_[zero]] = mid[zero]
-        b[open_[left]] = mid[left]
-        a[open_[right]], ha[open_[right]] = mid[right], hm[right]
-        open_ = open_[b[open_] - a[open_] > 1e-12]
+    spacing = 1.0 / (samples - 1)
+    a, b = _itp_brackets(
+        slope, t_grid[flips], t_grid[flips + 1], h[flips], h[flips + 1], 1e-12, 0.2 / spacing
+    )
     roots = np.sort(np.concatenate([t_grid[h == 0.0], 0.5 * (a + b)]))
 
     scale = _default_scale(mix)
-    seeds = np.concatenate([_ridgeline_curve_k2(mix, roots)[0], mix._means])
+    seeds = np.concatenate([curve(roots)[0], mix._means])
     polishing = np.arange(len(seeds)) < len(roots)
     pol = _ascend_batch(mix, seeds, opts, scale, polishing)
     radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale

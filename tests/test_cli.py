@@ -266,3 +266,25 @@ def test_bad_outside_input_is_an_error_line(tmp_path, capsys, mixture_text, meta
     code, out, err = run(capsys, *(str(path) if a == "MIXTURE" else a for a in argv))
     assert code == 2
     assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["modes", "MIXTURE", "--starts", "20", "--output", "OUT.json"], id="modes"),
+        pytest.param(["modes", "MIXTURE", "--starts", "20", "--format", "csv", "--output", "OUT.csv"], id="modes-csv"),
+        pytest.param(["construct", "cross", "--output", "OUT"], id="construct"),
+        pytest.param(["bounds", "--d", "2", "--k", "3", "--output", "OUT"], id="bounds"),
+        pytest.param(["bounds", "--table", "2", "2", "--format", "json", "--output", "OUT"], id="bounds-table"),
+        pytest.param(["ridgeline", "MIXTURE", "--output", "OUT.csv"], id="ridgeline"),
+    ],
+)
+def test_unwritable_output_is_an_error_line(tmp_path, capsys, argv):
+    base = tmp_path / "c"
+    run(capsys, "construct", "cross", "--output", str(base))
+    out_path = str(tmp_path / "missing-dir" / "x")
+    subst = {"MIXTURE": str(tmp_path / "c.mixture.json")}
+    argv = [subst.get(a, a.replace("OUT", out_path)) for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: cannot write ") and "Traceback" not in err

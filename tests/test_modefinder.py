@@ -1,7 +1,9 @@
 """Fixed-point ascent, Newton refinement, classification and the k=2 oracle."""
 
 import dataclasses
+import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import qmc
@@ -15,10 +17,13 @@ from gmmodes.constructions import (
     scenario_catalog,
     univariate_pair,
 )
-from gmmodes.errors import InvalidParameter, TooFewSamples
+from gmmodes.errors import DimensionMismatch, InvalidParameter, TooFewSamples
 from gmmodes.mixture import Mixture, affine_transform, make_mixture
+from gmmodes import modefinder
 from gmmodes.modefinder import (
     AscentOptions,
+    _itp_brackets,
+    _ridgeline_curve_k2,
     ascend,
     _halton,
     default_starts,
@@ -65,6 +70,22 @@ def test_options_validation():
         AscentOptions(gradient_tolerance=0.0)
     with pytest.raises(ValueError):
         AscentOptions(dedup_radius=-1.0)
+
+
+def test_drivers_reject_misshaped_and_empty_starts():
+    mix = cross_example().mixture  # d = 2
+    for bad in (np.zeros((3, 3)), np.zeros((2, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            find_critical_points(mix, bad)
+    for bad in (np.zeros(3), np.zeros((3, 3)), [0.0]):
+        with pytest.raises(DimensionMismatch):
+            ascend(mix, bad)
+        with pytest.raises(DimensionMismatch):
+            fixed_point_step(mix, bad)
+    for run in (find_critical_points, ascend, fixed_point_step):
+        for empty in ([], np.zeros((0, 2))):
+            with pytest.raises(InvalidParameter):
+                run(mix, empty)
 
 
 # ----------------------------------------------------------------------
@@ -383,6 +404,150 @@ def test_oracle_matches_multistart_sample():
         assert rep.mode_count == len(o_modes)
         for m in rep.modes:
             assert min(np.linalg.norm(m.location - p.location) for p in o_modes) <= rep.dedup_radius
+
+
+def test_oracle_requires_two_components_invalid_parameter():
+    with pytest.raises(InvalidParameter):
+        ridgeline_oracle_k2(duistermaat_triangle(0.72).mixture)
+    with pytest.raises(InvalidParameter):
+        ridgeline_oracle_k2(make_mixture([1.0], [[0.0]], [[[1.0]]]))
+
+
+def _anisotropic_pair(rng, d, ratio):
+    """Two components with independently rotated covariances whose
+    eigenvalues run geometrically from 1 to ratio (variances 1 and ratio
+    when d = 1)."""
+    covs = []
+    for i in range(2):
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        Q = q * np.sign(np.diag(r))
+        ev = np.geomspace(1.0, ratio, d)[rng.permutation(d)] if d > 1 else np.array([(1.0, ratio)[i]])
+        cov = (Q * ev) @ Q.T
+        covs.append(0.5 * (cov + cov.T))
+    return make_mixture([0.4, 0.6], rng.normal(scale=1.5, size=(2, d)), covs)
+
+
+def _mp_ridgeline(mix, t):
+    """x*(t) and dx*/dt solved at 50 digits. The precisions are formed exactly
+    from the mixture's float Cholesky factors, P_i = (L_i L_i^T)^{-1}: those
+    factors are how a component is stored, and at condition 1e9 rounding the
+    covariance into them already moves P by ~1e-7, which no method working
+    from the float factors can undo."""
+    with mpmath.workdps(50):
+        P = []
+        for c in mix.components:
+            L = mpmath.matrix(c.chol.tolist())
+            P.append(mpmath.inverse(L * L.T))
+        Pmu = [p * mpmath.matrix(m.tolist()) for p, m in zip(P, mix._means)]
+        xs, dxs = [], []
+        for tt in t:
+            tt = mpmath.mpf(float(tt))
+            A = tt * P[0] + (1 - tt) * P[1]
+            x = mpmath.lu_solve(A, tt * Pmu[0] + (1 - tt) * Pmu[1])
+            dx = mpmath.lu_solve(A, Pmu[0] - Pmu[1] - (P[0] - P[1]) * x)
+            xs.append([float(v) for v in x])
+            dxs.append([float(v) for v in dx])
+    return np.array(xs), np.array(dxs)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_ridgeline_curve_matches_mpmath(d, ratio):
+    rng = np.random.default_rng(int(100 * d + math.log10(ratio)))
+    t = np.array([0.0, 1e-9, 1e-3, 0.25, 0.5, 0.75, 1 - 1e-3, 1 - 1e-9, 1.0])
+    for _ in range(3):
+        mix = _anisotropic_pair(rng, d, ratio)
+        x, dx = _ridgeline_curve_k2(mix, t)
+        x_ref, dx_ref = _mp_ridgeline(mix, t)
+        x_err = np.linalg.norm(x - x_ref, axis=1) / np.linalg.norm(x_ref, axis=1)
+        dx_err = np.linalg.norm(dx - dx_ref, axis=1) / np.linalg.norm(dx_ref, axis=1)
+        assert np.max(x_err) <= 1e-10
+        assert np.max(dx_err) <= 1e-6
+
+
+def test_ridgeline_curve_matches_ridgeline_point():
+    rng = np.random.default_rng(31)
+    t = np.linspace(0.0, 1.0, 17)
+    for d in (1, 2, 3, 4):
+        mix = random_two_component(rng, d)
+        covs = [c.cov for c in mix.components]
+        x, _ = _ridgeline_curve_k2(mix, t)
+        for ti, xi in zip(t, x):
+            expect = ridgeline_point(mix.means, covs, [ti, 1.0 - ti])
+            assert np.max(np.abs(xi - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
+
+
+def _census(points, d):
+    """sum over critical points of (-1)^(d - s), s = number of negative
+    Hessian eigenvalues; 1 (the Euler characteristic of R^d) for a complete
+    list of non-degenerate critical points."""
+    assert not any(p.kind == "degenerate" for p in points)
+    return sum((-1) ** (d - int(np.sum(p.hessian_eigenvalues < 0))) for p in points)
+
+
+def test_oracle_census_identity():
+    cases = [cross_example().mixture, univariate_pair(0, 1, 2.1, 1, 0.5).mixture]
+    rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
+    for _ in range(25):
+        cases.append(random_two_component(rng, int(rng.integers(1, 4))))
+    for mix in cases:
+        assert _census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) == 1
+
+
+def test_itp_brackets_on_known_roots():
+    # f has roots at 1/3, 0.5 (hit exactly by the first regula-falsi point)
+    # and 0.9; the brackets are grid cells of spacing 1/3999.
+    roots = np.array([1.0 / 3.0, 0.9])
+    w = 1.0 / 3999
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x < 0.7, np.tan(3.0 * (x - roots[0])), np.expm1(40.0 * (x - roots[1])))
+
+    a0 = np.array([roots[0] - 0.3 * w, roots[1] - 0.9 * w])
+    a, b = _itp_brackets(f, a0, a0 + w, f(a0), f(a0 + w), 1e-12, 0.2 / w)
+    assert np.all(b - a <= 1e-12) and np.all(np.abs(0.5 * (a + b) - roots) <= 1e-12)
+    assert len(calls) - 1 <= math.ceil(math.log2(w / 1e-12)) + 1
+
+    a, b = _itp_brackets(
+        lambda x: x - 0.5, np.array([0.25]), np.array([0.75]), np.array([-0.25]), np.array([0.25]), 1e-12, 0.4
+    )
+    assert a[0] == b[0] == 0.5
+
+
+def test_oracle_itp_contract(monkeypatch):
+    """Every bracket the oracle narrows ends at most 1e-12 wide and still
+    brackets a sign change of the values the search saw, or closes on an
+    exact zero, within bisection's evaluation count plus one."""
+    seen = []
+
+    def spy(f, a, b, fa, fb, width, kappa1):
+        values = dict(zip(np.concatenate([a, b]), np.concatenate([fa, fb])))
+        calls = []
+
+        def recorded(x):
+            y = f(x)
+            values.update(zip(x, y))
+            calls.append(x.size)
+            return y
+
+        out = _itp_brackets(recorded, a, b, fa, fb, width, kappa1)
+        seen.append((np.array(a), np.array(b), out, values, len(calls)))
+        return out
+
+    monkeypatch.setattr(modefinder, "_itp_brackets", spy)
+    rng = np.random.default_rng(10)
+    mixes = [cross_example().mixture] + [random_two_component(rng, int(rng.integers(1, 4))) for _ in range(10)]
+    for mix in mixes:
+        ridgeline_oracle_k2(mix, samples=4000)
+    assert sum(a0.size for a0, *_ in seen) >= len(mixes)
+    for a0, b0, (a, b), values, calls in seen:
+        assert np.all(b - a <= 1e-12) and np.all((a0 <= a) & (b <= b0))
+        for lo, hi in zip(a, b):
+            assert lo == hi or values[lo] * values[hi] < 0
+        if a0.size:
+            assert calls <= math.ceil(math.log2(np.max(b0 - a0) / 1e-12)) + 1
 
 
 def test_ridgeline_membership():
