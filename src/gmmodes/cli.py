@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import os
 import sys
@@ -43,7 +44,7 @@ from .errors import (
 from .mixture import Mixture, load_mixture, mixture_to_dict
 from .modefinder import (
     AscentOptions,
-    _ridgeline_curve_k2,
+    _ridgeline_k2,
     default_starts,
     find_critical_points,
 )
@@ -259,23 +260,16 @@ def cmd_scan(args) -> int:
         raise InvalidParameter(f"resolution {args.res} is outside 1..2000 per axis")
     scen = _scenario_for_mixture(mix, meta)
     lo, hi = (_corner(text, mix.dim, box) for text, box in zip((args.lo, args.hi), scen.search_box))
+    axes = [np.linspace(lo[i], hi[i], args.res) for i in range(mix.dim)]
     out = io.StringIO()
     writer = csv.writer(out)
-    if mix.dim == 1:
-        writer.writerow(["x", "log_density"])
-        xs = np.linspace(lo[0], hi[0], args.res)
-        ld = mix.log_density(xs[:, None])
-        for x, v in zip(xs, ld):
-            writer.writerow([repr(float(x)), repr(float(v))])
-    else:
-        writer.writerow(["x", "y", "log_density"])
-        xs = np.linspace(lo[0], hi[0], args.res)
-        ys = np.linspace(lo[1], hi[1], args.res)
-        for x in xs:
-            pts = np.column_stack([np.full(args.res, x), ys])
-            ld = mix.log_density(pts)
-            for y, v in zip(ys, ld):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(v))])
+    writer.writerow(["x", "y"][: mix.dim] + ["log_density"])
+    # One log_density call per line of the grid along its last axis, so
+    # memory stays at one line even at the largest resolution.
+    for lead in itertools.product(*axes[:-1]):
+        pts = np.column_stack([np.full(args.res, v) for v in lead] + [axes[-1]])
+        for p, v in zip(pts, mix.log_density(pts)):
+            writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
     _write(out.getvalue(), args.output)
     return 0
 
@@ -287,7 +281,7 @@ def cmd_ridgeline(args) -> int:
     if args.samples < 1:
         raise InvalidParameter(f"--samples must be >= 1, got {args.samples}")
     t = np.linspace(0.0, 1.0, args.samples)
-    x, _dx = _ridgeline_curve_k2(mix, t)
+    x = _ridgeline_k2(mix)(t)
     ld = mix.log_density(x)
     out = io.StringIO()
     writer = csv.writer(out)
@@ -302,10 +296,11 @@ def cmd_ridgeline(args) -> int:
 
 def cmd_verify(args) -> int:
     config = RunConfig(seed=args.seed, start_budget=args.starts)
+    scenarios = [s for s in scenario_catalog() if args.only is None or args.only in s.name]
+    if not scenarios:
+        raise InvalidParameter(f"--only {args.only!r} matches no scenario in the catalog")
     failures = 0
-    for scen in scenario_catalog():
-        if args.only and args.only not in scen.name:
-            continue
+    for scen in scenarios:
         budget = max(config.start_budget, 250 * scen.mixture.k)
         starts = default_starts(scen, budget=budget, seed=config.seed)
         report = find_critical_points(

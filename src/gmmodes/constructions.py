@@ -7,7 +7,7 @@ whose small-delta limit plants a mode at every arrangement vertex.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import comb, sqrt
 
 import numpy as np
@@ -122,16 +122,12 @@ def univariate_pair(mu1, sigma1, mu2, sigma2, alpha) -> Scenario:
     threshold at |mu2 - mu1| = 2 sigma, the other conditions are
     sufficient for unimodality only.
     """
-    if sigma1 <= 0 or sigma2 <= 0:
-        raise InvalidParameter("sigmas must be positive")
-    if not 0.0 < alpha < 1.0:
-        raise InvalidParameter(f"alpha must be in (0,1), got {alpha}")
+    cert = unimodality_certificates(mu1, sigma1, mu2, sigma2, alpha)
     mix = make_mixture(
         [alpha, 1.0 - alpha],
         [[mu1], [mu2]],
         [[[sigma1**2]], [[sigma2**2]]],
     )
-    cert = unimodality_certificates(mu1, sigma1, mu2, sigma2, alpha)
     expected = None
     provenance = "none"
     if cert.equal_sigma_iff is not None:
@@ -406,8 +402,8 @@ def select_delta(
     target = comb(k, d) + k if d >= 2 else k
     counts = {}
     for delta in _DELTA_SCHEDULE:
-        mix = arrangement_mixture(arr, delta)
         scen = arrangement_scenario(arr, delta, name=f"arrangement(d={d},k={k})")
+        mix = scen.mixture
         starts = default_starts(scen, budget=start_budget, seed=seed)
         report = find_critical_points(mix, starts, opts=opts, search_box=scen.search_box)
         counts[delta] = report.mode_count
@@ -520,15 +516,10 @@ def seven_mode_probe(sigma_tangential: float, sigma_normal: float) -> Scenario:
 # Catalog
 # ----------------------------------------------------------------------
 
-# Per-(d, k) deltas for the catalog arrangements, small enough that the
-# vertex modes are present (verified by the acceptance suite).
-_CATALOG_DELTAS = {
-    (1, 2): 0.03125,
-    (2, 2): 0.03125,
-    (2, 3): 0.03125,
-    (2, 4): 0.03125,
-    (3, 3): 0.03125,
-}
+# The (d, k) of the catalog arrangements and their delta, small enough that
+# the vertex modes are present (verified by the acceptance suite).
+_CATALOG_ARRANGEMENTS = ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3))
+_CATALOG_DELTA = 0.03125
 _CATALOG_ARRANGEMENT_SEED = 1
 
 
@@ -542,7 +533,7 @@ def scenario_catalog() -> list[Scenario]:
         duistermaat_triangle(0.72),
         seven_mode_probe(0.5, 0.01),
     ]
-    for (d, k), delta in _CATALOG_DELTAS.items():
+    for d, k in _CATALOG_ARRANGEMENTS:
         arr = generic_arrangement(d, k, seed=_CATALOG_ARRANGEMENT_SEED)
         if d == 1:
             expected, provenance = k, "derived"
@@ -552,22 +543,13 @@ def scenario_catalog() -> list[Scenario]:
             note = f"expected C({k},{d})+{k} modes"
         scen = arrangement_scenario(
             arr,
-            delta,
+            _CATALOG_DELTA,
             name=f"arrangement(d={d},k={k})",
             expected=expected,
             provenance=provenance,
         )
-        scenarios.append(
-            Scenario(
-                name=scen.name,
-                mixture=scen.mixture,
-                expected_modes=expected,
-                expectation_provenance=provenance,
-                search_box=scen.search_box,
-                notes=f"{note}; delta={delta}, seed={_CATALOG_ARRANGEMENT_SEED}",
-                arrangement=arr,
-            )
-        )
+        notes = f"{note}; delta={_CATALOG_DELTA}, seed={_CATALOG_ARRANGEMENT_SEED}"
+        scenarios.append(replace(scen, notes=notes))
     scenarios.append(product_of_triangles(2, 0.72))
     return scenarios
 

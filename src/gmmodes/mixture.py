@@ -143,17 +143,13 @@ class Mixture:
         return shift + np.log(wsum), w / wsum
 
     def grad_over_density(self, X: np.ndarray) -> np.ndarray:
-        """Scale-free gradient grad f / f at each point, shape (m, d).
+        """Scale-free gradient grad f / f at each point, shape (m, d): the
+        ``grad_over_density`` field of :func:`derivatives`.
 
-        Finite even where the density itself underflows, which is what
-        the scale-free ascent convergence test needs.
+        Nothing in the package calls it. It stays as a named method because
+        the benchmark's span tracer (``bench/tracer.py``) wraps it by name.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.einsum("km,kmd->md", self.responsibilities(X), self._pulls(X))
-
-    def _pulls(self, X: np.ndarray) -> np.ndarray:
-        """Per-component P_i (mu_i - x) for every row of X, shape (k, m, d)."""
-        return (self._means[:, None, :] - X[None, :, :]) @ self._precisions
+        return derivatives(self, X).grad_over_density
 
     # ------------------------------------------------------------------
 
@@ -289,7 +285,7 @@ def derivatives(mix: Mixture, X) -> Derivatives:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
     log_density, resp = mix._log_density_resp(X)             # (m,), (k, m)
-    G = mix._pulls(X)                                        # (k, m, d)
+    G = (mix._means[:, None, :] - X[None, :, :]) @ mix._precisions  # (k, m, d)
     RG = resp[:, :, None] * G
     hess = np.einsum("kmd,kme->mde", RG, G)
     hess -= (resp.T @ mix._precisions.reshape(mix.k, d * d)).reshape(m, d, d)

@@ -598,16 +598,16 @@ def _ridgeline_solve(precisions: np.ndarray, means: np.ndarray, alpha: np.ndarra
 
 
 def _ridgeline_k2(mix: Mixture):
-    """Closed-form ridgeline of a 2-component mixture: a function t ->
-    (x*(t), dx*/dt) for alpha = (t, 1 - t), vectorized over t.
+    """Closed-form ridgeline of a 2-component mixture: a function t -> x*(t)
+    for alpha = (t, 1 - t), vectorized over t.
 
     With s the weight of component a, L_b the Cholesky factor of the other
     one and the SVD W_a L_b = Y S V^T, the basis B = L_b V diagonalizes
     s P_a + (1 - s) P_b to diag(s lam + 1 - s), lam = S^2, so
-    x* = mu_b + B s e / (s lam + 1 - s) and dx*/ds = B e / (s lam + 1 - s)^2
-    with e = S Y^T W_a (mu_a - mu_b). Each half of the curve is taken from
-    its own end (a = 1, s = t up to t = 1/2, then a = 2, s = 1 - t), so the
-    denominator stays >= 1/2 and no small singular value is divided by.
+    x* = mu_b + B s e / (s lam + 1 - s) with e = S Y^T W_a (mu_a - mu_b).
+    Each half of the curve is taken from its own end (a = 1, s = t up to
+    t = 1/2, then a = 2, s = 1 - t), so the denominator stays >= 1/2 and no
+    small singular value is divided by.
     """
     W, mu = mix._whitens, mix._means
     halves = []
@@ -618,23 +618,17 @@ def _ridgeline_k2(mix: Mixture):
 
     def curve(t):
         t = np.asarray(t, dtype=float)
-        x, dx = np.empty((t.size, mix.dim)), np.empty((t.size, mix.dim))
-        for (mu_b, B, lam, e), s, sign, rows in (
-            (halves[0], t, 1.0, t <= 0.5),
-            (halves[1], 1.0 - t, -1.0, t > 0.5),
+        x = np.empty((t.size, mix.dim))
+        for (mu_b, B, lam, e), s, rows in (
+            (halves[0], t, t <= 0.5),
+            (halves[1], 1.0 - t, t > 0.5),
         ):
             s = s[rows, None]
             den = s * lam + (1.0 - s)
             x[rows] = mu_b + (s * e / den) @ B.T
-            dx[rows] = sign * (e / (den * den)) @ B.T
-        return x, dx
+        return x
 
     return curve
-
-
-def _ridgeline_curve_k2(mix: Mixture, t: np.ndarray):
-    """x*(t) and dx*/dt for alpha = (t, 1 - t), vectorized over t."""
-    return _ridgeline_k2(mix)(t)
 
 
 def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
@@ -676,11 +670,13 @@ def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
 def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions | None = None):
     """Exhaustively enumerate the critical points of a 2-component mixture.
 
-    Every critical point lies on the ridgeline curve x*(t), t in [0, 1],
-    and is a zero of d f(x*(t)) / dt, taken in closed form on a uniform
-    grid. Every sign change is narrowed by ITP to an interval below 1e-12,
-    and the resulting points enter the shared ascent already polishing
-    (damped Newton, so saddles are found too) and are deduplicated.
+    Every critical point lies on the ridgeline curve x*(t), t in [0, 1], at
+    a zero of the residual r_1(x*(t)) - t (r_1 the responsibility of the
+    first component), which has the sign of d log f(x*(t)) / dt. The
+    residual is taken on a uniform grid. Every sign change is narrowed by
+    ITP to an interval below 1e-12, and the resulting points enter the
+    shared ascent already polishing (damped Newton, so saddles are found
+    too) and are deduplicated.
 
     The two component means (the curve endpoints) always enter it too,
     climbing: a mode whose minority responsibility underflows the grid
@@ -694,22 +690,21 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions |
     opts = opts or AscentOptions()
     curve = _ridgeline_k2(mix)
 
-    def slope(t):  # (grad f / f) . dx*/dt
-        x, dx = curve(t)
-        return np.einsum("md,md->m", mix.grad_over_density(x), dx)
+    def residual(t):
+        return mix.responsibilities(curve(t))[0] - t
 
     t_grid = np.linspace(0.0, 1.0, samples)
-    h = slope(t_grid)
+    h = residual(t_grid)
     sign = np.sign(h)
     flips = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
     spacing = 1.0 / (samples - 1)
     a, b = _itp_brackets(
-        slope, t_grid[flips], t_grid[flips + 1], h[flips], h[flips + 1], 1e-12, 0.2 / spacing
+        residual, t_grid[flips], t_grid[flips + 1], h[flips], h[flips + 1], 1e-12, 0.2 / spacing
     )
     roots = np.sort(np.concatenate([t_grid[h == 0.0], 0.5 * (a + b)]))
 
     scale = _default_scale(mix)
-    seeds = np.concatenate([curve(roots)[0], mix._means])
+    seeds = np.concatenate([curve(roots), mix._means])
     polishing = np.arange(len(seeds)) < len(roots)
     pol = _ascend_batch(mix, seeds, opts, scale, polishing)
     radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale

@@ -120,6 +120,18 @@ def test_scan_csv(tmp_path, capsys):
     assert len(lines) == 1 + 30 * 30
 
 
+def test_scan_csv_univariate(tmp_path, capsys):
+    base = str(tmp_path / "u")
+    run(capsys, "construct", "univariate", "--output", base)
+    out_path = tmp_path / "grid.csv"
+    code, _, _ = run(capsys, "scan", base + ".mixture.json", "--res", "30",
+                     "--output", str(out_path))
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[0] == "x,log_density"
+    assert len(lines) == 1 + 30
+
+
 def test_scan_rejects_high_dim(tmp_path, capsys):
     base = str(tmp_path / "p")
     run(capsys, "construct", "product", "--n", "2", "--output", base)
@@ -246,6 +258,7 @@ def _with_mixture(doc, **fields):
         pytest.param(None, None, ["modes", "MIXTURE", "--dedup-radius", "-1"], id="modes-negative-dedup-radius"),
         pytest.param(None, None, ["modes", "MIXTURE", "--grad-tol", "0"], id="modes-zero-grad-tol"),
         pytest.param(None, None, ["bounds", "--d", "-1", "--k", "2"], id="bounds-negative-d"),
+        pytest.param(None, None, ["verify", "--only", "nothing-matches"], id="verify-only-matches-nothing"),
     ],
 )
 def test_bad_outside_input_is_an_error_line(tmp_path, capsys, mixture_text, meta_edit, argv):

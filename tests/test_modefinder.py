@@ -23,7 +23,7 @@ from gmmodes import modefinder
 from gmmodes.modefinder import (
     AscentOptions,
     _itp_brackets,
-    _ridgeline_curve_k2,
+    _ridgeline_k2,
     ascend,
     _halton,
     default_starts,
@@ -428,7 +428,7 @@ def _anisotropic_pair(rng, d, ratio):
 
 
 def _mp_ridgeline(mix, t):
-    """x*(t) and dx*/dt solved at 50 digits. The precisions are formed exactly
+    """x*(t) solved at 50 digits. The precisions are formed exactly
     from the mixture's float Cholesky factors, P_i = (L_i L_i^T)^{-1}: those
     factors are how a component is stored, and at condition 1e9 rounding the
     covariance into them already moves P by ~1e-7, which no method working
@@ -439,15 +439,13 @@ def _mp_ridgeline(mix, t):
             L = mpmath.matrix(c.chol.tolist())
             P.append(mpmath.inverse(L * L.T))
         Pmu = [p * mpmath.matrix(m.tolist()) for p, m in zip(P, mix._means)]
-        xs, dxs = [], []
+        xs = []
         for tt in t:
             tt = mpmath.mpf(float(tt))
             A = tt * P[0] + (1 - tt) * P[1]
             x = mpmath.lu_solve(A, tt * Pmu[0] + (1 - tt) * Pmu[1])
-            dx = mpmath.lu_solve(A, Pmu[0] - Pmu[1] - (P[0] - P[1]) * x)
             xs.append([float(v) for v in x])
-            dxs.append([float(v) for v in dx])
-    return np.array(xs), np.array(dxs)
+    return np.array(xs)
 
 
 @pytest.mark.parametrize("ratio", [1.0, 1e3, 1e6, 1e9])
@@ -457,12 +455,10 @@ def test_ridgeline_curve_matches_mpmath(d, ratio):
     t = np.array([0.0, 1e-9, 1e-3, 0.25, 0.5, 0.75, 1 - 1e-3, 1 - 1e-9, 1.0])
     for _ in range(3):
         mix = _anisotropic_pair(rng, d, ratio)
-        x, dx = _ridgeline_curve_k2(mix, t)
-        x_ref, dx_ref = _mp_ridgeline(mix, t)
+        x = _ridgeline_k2(mix)(t)
+        x_ref = _mp_ridgeline(mix, t)
         x_err = np.linalg.norm(x - x_ref, axis=1) / np.linalg.norm(x_ref, axis=1)
-        dx_err = np.linalg.norm(dx - dx_ref, axis=1) / np.linalg.norm(dx_ref, axis=1)
         assert np.max(x_err) <= 1e-10
-        assert np.max(dx_err) <= 1e-6
 
 
 def test_ridgeline_curve_matches_ridgeline_point():
@@ -471,7 +467,7 @@ def test_ridgeline_curve_matches_ridgeline_point():
     for d in (1, 2, 3, 4):
         mix = random_two_component(rng, d)
         covs = [c.cov for c in mix.components]
-        x, _ = _ridgeline_curve_k2(mix, t)
+        x = _ridgeline_k2(mix)(t)
         for ti, xi in zip(t, x):
             expect = ridgeline_point(mix.means, covs, [ti, 1.0 - ti])
             assert np.max(np.abs(xi - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
@@ -492,6 +488,35 @@ def test_oracle_census_identity():
         cases.append(random_two_component(rng, int(rng.integers(1, 4))))
     for mix in cases:
         assert _census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) == 1
+
+
+def test_oracle_brackets_sign_of_log_density_slope(monkeypatch):
+    """The function the oracle brackets has the sign of d log f(x*(t)) / dt,
+    checked on the 4000-point grid against a centred finite difference
+    wherever that difference is well above its own error (its change when
+    the step doubles, plus rounding)."""
+    bracketed = []
+
+    def spy(f, *args):
+        bracketed.append(f)
+        return _itp_brackets(f, *args)
+
+    monkeypatch.setattr(modefinder, "_itp_brackets", spy)
+    cases = [cross_example().mixture, univariate_pair(0, 1, 2.1, 1, 0.5).mixture]
+    rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
+    for _ in range(25):
+        cases.append(random_two_component(rng, int(rng.integers(1, 4))))
+    t, h = np.linspace(0.0, 1.0, 4000)[1:-1], 1e-6
+    for mix in cases:
+        ridgeline_oracle_k2(mix, samples=4000)
+        curve = _ridgeline_k2(mix)
+        log_f = lambda s: mix.log_density(curve(s))
+        slope = (log_f(t + h) - log_f(t - h)) / (2 * h)
+        slope_2h = (log_f(t + 2 * h) - log_f(t - 2 * h)) / (4 * h)
+        err = np.abs(slope - slope_2h) + 1e-15 * (1.0 + np.abs(log_f(t))) / h
+        clear = np.abs(slope) > 100 * err
+        assert np.count_nonzero(clear) >= 0.99 * t.size
+        assert np.array_equal(np.sign(bracketed.pop()(t)[clear]), np.sign(slope[clear]))
 
 
 def test_itp_brackets_on_known_roots():
