@@ -295,6 +295,8 @@ def cmd_ridgeline(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.starts < 1:
+        raise InvalidParameter(f"--starts must be >= 1, got {args.starts}")
     config = RunConfig(seed=args.seed, start_budget=args.starts)
     scenarios = [s for s in scenario_catalog() if args.only is None or args.only in s.name]
     if not scenarios:
@@ -387,8 +389,25 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _join_corners(argv: list[str]) -> list[str]:
+    """Rewrite ``--lo V`` and ``--hi V`` as ``--lo=V`` and ``--hi=V``:
+    argparse reads a value such as ``-1,-2`` as an option, not as a value."""
+    out = []
+    for a in argv:
+        if out and out[-1] in ("--lo", "--hi"):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # Fewnomial upper bounds pass Python's default 4300-digit limit on
+    # int -> str conversion from k = 167 on; print them exactly.
+    # Releases without the limit have no setter.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    args = build_parser().parse_args(_join_corners(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except GmModesError as exc:

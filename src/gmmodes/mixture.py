@@ -287,7 +287,7 @@ def derivatives(mix: Mixture, X) -> Derivatives:
     log_density, resp = mix._log_density_resp(X)             # (m,), (k, m)
     G = (mix._means[:, None, :] - X[None, :, :]) @ mix._precisions  # (k, m, d)
     RG = resp[:, :, None] * G
-    hess = np.einsum("kmd,kme->mde", RG, G)
+    hess = RG.transpose(1, 2, 0) @ G.transpose(1, 0, 2)  # sum_i r_i g_i g_i^T, (m, d, d)
     hess -= (resp.T @ mix._precisions.reshape(mix.k, d * d)).reshape(m, d, d)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     return Derivatives(log_density, resp, np.sum(RG, axis=0), hess)

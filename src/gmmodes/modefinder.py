@@ -6,9 +6,12 @@ Newton step where the Hessian is negative definite, else the mean-shift
 step x' = x + A^{-1} grad f / f = A^{-1} sum_i r_i P_i mu_i with
 A = sum_i r_i P_i (r_i the responsibilities, P_i the precisions), whose
 fixed points are exactly the critical points. Polishing is damped Newton,
-which also yields the Hessian used for classification. The multistart
-driver, :func:`ascend` (a batch of one) and the k = 2 ridgeline oracle all
-run through that loop.
+which also yields the Hessian used for classification. Symmetric
+elimination of -Hess f / f, row by row with the pivots of its Cholesky
+factorization, decides concavity and gives the Newton step; only saddles
+and near-singular Hessians go through eigh, whose eigenvalue floor keeps
+the step finite. The multistart driver, :func:`ascend` (a batch of one)
+and the k = 2 ridgeline oracle all run through that loop.
 
 All convergence tests are scale-free (||grad f|| / f) because density
 magnitudes across the constructions here differ by hundreds of orders
@@ -246,15 +249,74 @@ def _state(mix: Mixture, X: np.ndarray):
     return [X, logf, resp.T, g, h]
 
 
-def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float):
+# A pivot in the elimination of -Hess f / f is clearly nonzero when its
+# magnitude exceeds this fraction of the matrix's largest entry.
+_PIVOT_TOLERANCE = 1e-9
+# Definite rows whose condition number is bounded below this take the
+# eliminated Newton step: the eigenvalue floor of the eigh path, 1e-12 of
+# the largest, cannot act on them.
+_SWEEP_CONDITION = 1e10
+
+
+def _sweep_newton_rows(g: np.ndarray, h: np.ndarray):
+    """Newton steps -H^{-1} g by symmetric elimination of A = -H, vectorized
+    over the rows of g (m, d) and h = H (m, d, d).
+
+    The pivots are those of the Cholesky factorization A = L L^T (the
+    squares of diag L), taken without square roots. Sweeping them out of
+    the bordered matrix [[A, g], [g^T, 0]] one at a time (the sweep
+    operator) leaves -A^{-1} in its leading block and A^{-1} g, the Newton
+    step, in its last column.
+
+    Returns (step, definite, indefinite). A row is ``definite`` when every
+    pivot exceeds _PIVOT_TOLERANCE times its largest absolute entry and
+    trace(A) trace(A^{-1}), an upper bound on its condition number, is
+    below _SWEEP_CONDITION; only definite rows get a nonzero step. A row is
+    ``indefinite`` when a pivot falls below minus that margin while every
+    earlier pivot passed. Rows that are neither sit in the near-singular
+    band.
+    """
+    m, d = g.shape
+    S = np.zeros((m, d + 1, d + 1))
+    S[:, :d, :d] = -h
+    S[:, :d, d] = S[:, d, :d] = g
+    margin = _PIVOT_TOLERANCE * np.max(np.abs(h.reshape(m, d * d)), axis=1)
+    definite, indefinite = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+    for j in range(d):
+        pivot = S[:, j, j]
+        indefinite |= definite & (pivot < -margin)
+        definite &= pivot > margin
+        # 1 / pivot, and 0 once a pivot has failed, which keeps S finite.
+        inv = definite / np.where(definite, pivot, 1.0)
+        row = S[:, j, :] * inv[:, None]
+        S -= S[:, :, j, None] * row[:, None, :]
+        S[:, j, :] = S[:, :, j] = row
+        S[:, j, j] = -inv
+    condition = np.trace(h, axis1=1, axis2=2) * np.trace(S[:, :d, :d], axis1=1, axis2=2)
+    definite &= condition < _SWEEP_CONDITION
+    return S[:, :d, d] * definite[:, None], definite, indefinite
+
+
+def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float, polish: np.ndarray):
     """Newton steps -H^{-1} g capped at step_cap, and whether each H is negative
-    definite. Only the solve is regularized: tiny eigenvalues are clamped away
-    from zero keeping their sign, so saddles are still repelled."""
-    w, V = np.linalg.eigh(h)
-    floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
-    concave = w[:, -1] < 0.0
-    w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
-    step = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g) / w)
+    definite, for the rows of g (m, d) and h = H (m, d, d).
+
+    Symmetric elimination of -H (:func:`_sweep_newton_rows`) decides
+    concavity. Rows it shows clearly negative definite take its step.
+    Climbing rows (``polish`` False) it shows indefinite are not concave
+    and get no step: they take the mean-shift step instead. Every other
+    row, a polishing row that is not negative definite (a saddle) or a row
+    in the near-singular band, goes through eigh, and only its solve is
+    regularized: tiny eigenvalues are clamped away from zero keeping their
+    sign, so saddles are still repelled."""
+    step, concave, indefinite = _sweep_newton_rows(g, h)
+    rest = ~concave & (polish | ~indefinite)
+    if np.any(rest):
+        w, V = np.linalg.eigh(h[rest])
+        floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
+        concave[rest] = w[:, -1] < 0.0
+        w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
+        step[rest] = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g[rest]) / w)
     norm = _row_norms(step)
     long = norm > step_cap
     step[long] *= (step_cap / norm[long])[:, None]
@@ -286,8 +348,13 @@ def _ascend_batch(
       rather than scattering across the plateau. A row already within
       gradient_tolerance whose step is rejected keeps its point and stops
       (settle rule): at the noise floor halving cannot help.
-    - Newton steps floor tiny Hessian eigenvalues, keeping their sign, and
-      are capped at scale / 2 (:func:`_newton_step`).
+    - Newton steps come from symmetric elimination of -Hess f / f (the
+      Cholesky pivots) on rows where Hess f / f is clearly negative
+      definite and well conditioned. Climbing rows where it is clearly
+      indefinite need none. Every other row (saddles while polishing,
+      near-singular Hessians) goes through eigh, which floors tiny
+      eigenvalues keeping their sign. Steps are capped at scale / 2
+      (:func:`_newton_step`).
 
     A row has converged when ||grad f / f|| <= gradient_tolerance at its
     endpoint. The working set is compacted only when rows finish.
@@ -306,7 +373,7 @@ def _ascend_batch(
         g_norm = _row_norms(g)
         start = ~polish & ((g_norm < 1e3 * tol) | stalled | (steps >= opts.max_fixed_point_iters))
         polish[start], steps[start] = True, 0
-        step, concave = _newton_step(g, h, step_cap)
+        step, concave = _newton_step(g, h, step_cap, polish)
         newton = polish | concave
         x_new = x + step
         shift = ~newton

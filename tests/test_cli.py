@@ -5,10 +5,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import gmmodes
+from gmmodes import bounds
 from gmmodes.cli import main
+from gmmodes.mixture import make_mixture, save_mixture
 
 
 def run(capsys, *argv):
@@ -102,6 +105,25 @@ def test_bounds_table_csv(tmp_path, capsys):
     assert len(lines) == 1 + 12
 
 
+# From k = 167 the fewnomial upper bound has more digits than Python's
+# default int -> str limit (4300); every subcommand prints it exactly.
+@pytest.mark.parametrize(
+    "argv, d, k",
+    [
+        pytest.param(["bounds", "--d", "2", "--k", "170"], 2, 170, id="bounds"),
+        pytest.param(["bounds", "--table", "2", "200"], 2, 200, id="bounds-table"),
+        pytest.param(["modes", "MIXTURE", "--starts", "200"], 1, 170, id="modes"),
+        pytest.param(["modes", "MIXTURE", "--starts", "200", "--format", "json"], 1, 170, id="modes-json"),
+    ],
+)
+def test_huge_upper_bound_is_printed_exactly(tmp_path, capsys, argv, d, k):
+    path = tmp_path / "m.mixture.json"
+    save_mixture(make_mixture(np.full(170, 1 / 170), 3.0 * np.arange(170)[:, None], [np.eye(1)] * 170), path)
+    code, out, err = run(capsys, *(str(path) if a == "MIXTURE" else a for a in argv))
+    assert code == 0 and err == ""
+    assert str(bounds.upper(d, k)) in out
+
+
 def test_bounds_missing_args(capsys):
     code, _, err = run(capsys, "bounds")
     assert code == 2
@@ -118,6 +140,19 @@ def test_scan_csv(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[0] == "x,y,log_density"
     assert len(lines) == 1 + 30 * 30
+
+
+def test_scan_negative_corner_space_separated(tmp_path, capsys):
+    base = str(tmp_path / "c")
+    run(capsys, "construct", "cross", "--output", base)
+    grids = []
+    for corners in (["--lo", "-1,-2", "--hi", "3,0.5"], ["--lo=-1,-2", "--hi=3,0.5"]):
+        code, out, err = run(capsys, "scan", base + ".mixture.json", "--res", "7", *corners)
+        assert code == 0 and err == ""
+        grids.append(out)
+    assert grids[0] == grids[1]
+    assert grids[0].splitlines()[1].startswith("-1.0,-2.0,")
+    assert grids[0].splitlines()[-1].startswith("3.0,0.5,")
 
 
 def test_scan_csv_univariate(tmp_path, capsys):
@@ -259,6 +294,7 @@ def _with_mixture(doc, **fields):
         pytest.param(None, None, ["modes", "MIXTURE", "--grad-tol", "0"], id="modes-zero-grad-tol"),
         pytest.param(None, None, ["bounds", "--d", "-1", "--k", "2"], id="bounds-negative-d"),
         pytest.param(None, None, ["verify", "--only", "nothing-matches"], id="verify-only-matches-nothing"),
+        pytest.param(None, None, ["verify", "--only", "cross", "--starts", "-5"], id="verify-negative-starts"),
     ],
 )
 def test_bad_outside_input_is_an_error_line(tmp_path, capsys, mixture_text, meta_edit, argv):

@@ -155,6 +155,86 @@ def test_ascent_monotone_log_density():
             x, logf = x_new, logf_new
 
 
+# ----------------------------------------------------------------------
+# Newton step: symmetric elimination, eigh only where its eigenvalue floor acts
+# ----------------------------------------------------------------------
+
+def _eigh_newton_step(g, h, step_cap):
+    """Reference: every row through eigh, tiny eigenvalues floored keeping their sign."""
+    w, V = np.linalg.eigh(h)
+    concave = w[:, -1] < 0.0
+    floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
+    w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
+    step = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g) / w)
+    norm = np.linalg.norm(step, axis=1)
+    long = norm > step_cap
+    step[long] *= (step_cap / norm[long])[:, None]
+    return step, concave
+
+
+def _random_newton_rows(rng, d, m, cond):
+    """m random gradients, polishing flags and symmetric Hessians whose eigenvalue
+    magnitudes run from 1 down to 1 / cond (0 for cond = inf) at a random scale;
+    the first third are negative definite, the rest have random signs."""
+    Q = np.linalg.qr(rng.normal(size=(m, d, d)))[0]
+    mag = np.exp(rng.uniform(-np.log(min(cond, 1e9)), 0.0, size=(m, d)))
+    mag[:, -1], mag[:, 0] = 1.0 / cond, 1.0
+    sign = np.where(rng.random((m, d)) < 0.3, 1.0, -1.0)
+    sign[: m // 3] = -1.0
+    h = 10.0 ** rng.uniform(-3, 3, size=(m, 1, 1)) * (Q * (sign * mag)[:, None, :]) @ np.swapaxes(Q, 1, 2)
+    return rng.normal(size=(m, d)), 0.5 * (h + np.swapaxes(h, 1, 2)), rng.random(m) < 0.5
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("cond", [1.0, 1e3, 1e6, 1e9, 1e14, np.inf])
+def test_newton_step_matches_eigh_reference(d, cond):
+    g, h, polish = _random_newton_rows(np.random.default_rng(30 + d), d, 1000, cond)
+    for cap in (np.inf, 0.5):
+        step, concave = modefinder._newton_step(g, h, cap, polish)
+        ref_step, ref_concave = _eigh_newton_step(g, h, cap)
+        assert np.array_equal(concave, ref_concave)
+        used = polish | concave  # the rows whose Newton step is taken
+        # Rows past the condition bound keep the eigh path and its floor:
+        # rounding apart, the same step.
+        rtol = 1e-13 + (0.0 if cond >= modefinder._SWEEP_CONDITION else 4e-15 * cond)
+        err = np.linalg.norm(step - ref_step, axis=1)[used]
+        assert np.all(err <= rtol * np.linalg.norm(ref_step, axis=1)[used])
+
+
+def test_newton_step_of_a_row_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(40)
+    for d in range(1, 5):
+        rows = [_random_newton_rows(rng, d, 30, cond) for cond in (1e6, np.inf)]
+        g, h, polish = (np.concatenate(parts) for parts in zip(*rows))
+        step, concave = modefinder._newton_step(g, h, 0.5, polish)
+        for i in range(len(g)):
+            one_step, one_concave = modefinder._newton_step(g[i : i + 1], h[i : i + 1], 0.5, polish[i : i + 1])
+            assert np.array_equal(one_step[0], step[i]) and one_concave[0] == concave[i]
+
+
+def _count_eigh_rows(monkeypatch):
+    """Patch np.linalg.eigh to record how many matrices each call factors."""
+    rows, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        rows.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return rows
+
+
+def test_product_ascent_runs_no_eigh(monkeypatch):
+    # Every Newton row of the catalog's heaviest scenario is either clearly
+    # negative definite or a climbing row that is clearly indefinite.
+    scen = product_of_triangles(2, 0.72)
+    starts = default_starts(scen, budget=2250, seed=0)
+    rows = _count_eigh_rows(monkeypatch)
+    rep = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
+    assert rep.mode_count == scen.expected_modes
+    assert sum(rows) == 0
+
+
 @pytest.mark.parametrize(
     "scenario, starts",
     [
@@ -360,13 +440,18 @@ def test_ridgeline_point_direct_solve():
     assert np.allclose(x, expect, atol=1e-10)
 
 
-def test_oracle_cross_five_critical_points():
+def test_oracle_cross_five_critical_points(monkeypatch):
     mix = cross_example().mixture
+    rows = _count_eigh_rows(monkeypatch)
     pts = ridgeline_oracle_k2(mix, samples=4000)
     kinds = sorted(p.kind for p in pts)
     assert len(pts) == 5
     assert kinds.count("mode") == 3
     assert kinds.count("saddle") == 2
+    assert all(p.saddle_index == 1 for p in pts if p.kind == "saddle")
+    # Polishing rows at a saddle are not negative definite, so their Newton
+    # step still comes from eigh.
+    assert sum(rows) > 0
 
 
 def test_oracle_univariate_three():
