@@ -5,7 +5,12 @@ derivative kernel :func:`gmmodes.mixture.derivatives`. Climbing takes the
 Newton step where the Hessian is negative definite, else the mean-shift
 step x' = x + A^{-1} grad f / f = A^{-1} sum_i r_i P_i mu_i with
 A = sum_i r_i P_i (r_i the responsibilities, P_i the precisions), whose
-fixed points are exactly the critical points. Polishing is damped Newton,
+fixed points are exactly the critical points. Near flat modes that step
+crawls at a linear rate, so it is adaptively overrelaxed (Salakhutdinov &
+Roweis, ICML 2003): each start moves by eta A^{-1} grad f / f, and eta
+doubles after every mean-shift step accepted without halving, up to 64,
+and drops back to 1 when an overrelaxed step lowers log f, which is then
+retaken as the plain step. Polishing is damped Newton,
 which also yields the Hessian used for classification. Symmetric
 elimination of -Hess f / f, row by row with the pivots of its Cholesky
 factorization, decides concavity and gives the Newton step; only saddles
@@ -49,6 +54,8 @@ __all__ = [
 _CONDITION_LIMIT = 1e14
 # Climbing steps may not decrease log-density by more than this.
 _MONOTONE_SLACK = 1e-12
+# Largest overrelaxation factor of a climbing mean-shift step.
+_OVERRELAX_CAP = 64.0
 
 
 @dataclass(frozen=True)
@@ -187,11 +194,11 @@ def mixture_digest(mix: Mixture) -> str:
 # The ascent: climb, then polish, every start in one batched loop
 # ----------------------------------------------------------------------
 
-def _mean_shift_step(mix: Mixture, x: np.ndarray, resp: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Mean-shift step x + A^{-1} grad f / f, A = sum_i r_i P_i, for rows with
+def _mean_shift_step(mix: Mixture, resp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Mean-shift step A^{-1} grad f / f, A = sum_i r_i P_i, for rows with
     responsibilities resp (m, k)."""
     A = (resp @ mix._precisions.reshape(mix.k, -1)).reshape(g.shape + g.shape[-1:])
-    return x + np.linalg.solve(A, g[..., None])[..., 0]
+    return np.linalg.solve(A, g[..., None])[..., 0]
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -215,7 +222,7 @@ def fixed_point_step(mix: Mixture, x) -> np.ndarray:
     """One mean-shift step from x; fixed points are critical points."""
     X = _as_starts(mix, np.ravel(x)[None, :])
     _, resp, g, _ = derivatives(mix, X)
-    return _mean_shift_step(mix, X, resp.T, g)[0]
+    return X[0] + _mean_shift_step(mix, resp.T, g)[0]
 
 
 class _Endpoints(NamedTuple):
@@ -333,11 +340,16 @@ def _ascend_batch(
     rule is per row, so an endpoint does not depend on the batch:
 
     - Climbing: the Newton step where Hess f / f is negative definite,
-      else the mean-shift step x + A^{-1} grad f / f, A = sum_i r_i P_i.
-      A Newton step that lowers log f by more than the monotone slack
-      falls back to the mean-shift step (fall-back rule), which is then
-      halved toward its origin while log f drops by more than the slack,
-      at most 60 times.
+      else the mean-shift step x + eta A^{-1} grad f / f, A = sum_i r_i P_i,
+      overrelaxed by the row's factor eta. A Newton step that lowers log f
+      by more than the monotone slack falls back to the mean-shift step
+      (fall-back rule). A mean-shift step with eta > 1 that does so resets
+      eta to 1 and is retaken as the plain step (reset rule); a plain step
+      that does so is halved toward its origin while log f drops by more
+      than the slack, at most 60 times.
+    - Overrelaxation: eta starts at 1 and doubles, up to _OVERRELAX_CAP,
+      after each mean-shift step accepted without halving. It is per-row
+      state, compacted with the rows.
     - Handover to polishing: ||grad f / f|| < 1e3 * gradient_tolerance, a
       step below step_tolerance, or max_fixed_point_iters climbs. Rows
       marked in ``polishing`` start there.
@@ -367,6 +379,7 @@ def _ascend_batch(
     polish = np.zeros(n, dtype=bool) if polishing is None else np.array(polishing, dtype=bool)
     steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
     stalled = np.zeros(n, dtype=bool)  # the last step was below step_tolerance
+    eta = np.ones(n)  # overrelaxation of each row's mean-shift step
     cur = _state(mix, X.copy())
     while rows.size:
         x, logf, resp, g, h = cur
@@ -375,31 +388,38 @@ def _ascend_batch(
         polish[start], steps[start] = True, 0
         step, concave = _newton_step(g, h, step_cap, polish)
         newton = polish | concave
-        x_new = x + step
         shift = ~newton
         if np.any(shift):
-            x_new[shift] = _mean_shift_step(mix, x[shift], resp[shift], g[shift])
+            step[shift] = _mean_shift_step(mix, resp[shift], g[shift])
+        x_new = x + np.where(newton[:, None], step, eta[:, None] * step)
         new = _state(mix, x_new)
         halvings = np.zeros(rows.size, dtype=int)
         while True:
             drop = ~polish & (new[1] < logf - _MONOTONE_SLACK)
-            fall = drop & newton
+            # Newton rows fall back to the mean-shift step, overrelaxed ones
+            # to the plain one; any other dropping row halves its step.
+            retake = drop & (newton | (eta > 1.0))
             worse = polish & (_row_norms(new[3]) > 2.0 * g_norm)
             settle = worse & (g_norm <= tol)
             if np.any(settle):
                 for a, b in zip(new, cur):
                     a[settle] = b[settle]
-            redo = fall | (drop & ~newton & (halvings < 60)) | (worse & ~settle & (halvings < 30))
+            redo = retake | (drop & (halvings < 60)) | (worse & ~settle & (halvings < 30))
             if not np.any(redo):
                 break
-            halve = redo & ~fall
+            halve = redo & ~retake
             x_new[halve] = 0.5 * (x_new[halve] + x[halve])
             halvings[halve] += 1
+            fall = retake & newton
             if np.any(fall):
-                x_new[fall] = _mean_shift_step(mix, x[fall], resp[fall], g[fall])
-                newton[fall] = False
+                step[fall] = _mean_shift_step(mix, resp[fall], g[fall])
+            eta[retake & ~newton] = 1.0
+            x_new[retake] = x[retake] + eta[retake, None] * step[retake]
+            newton[retake] = False
             for a, b in zip(new, _state(mix, x_new[redo])):
                 a[redo] = b
+        grow = ~newton & (halvings == 0)
+        eta[grow] = np.minimum(2.0 * eta[grow], _OVERRELAX_CAP)
         stalled = _row_norms(x_new - x) < opts.step_tolerance
         cur = new
         steps += 1
@@ -408,7 +428,7 @@ def _ascend_batch(
             for a, b in zip(out, (cur[0], cur[1], cur[3], cur[4])):
                 a[rows[done]] = b[done]
             keep = ~done
-            rows, polish, steps, stalled = rows[keep], polish[keep], steps[keep], stalled[keep]
+            rows, polish, steps, stalled, eta = (a[keep] for a in (rows, polish, steps, stalled, eta))
             cur = [a[keep] for a in cur]
     return _Endpoints(*out, _row_norms(out[2]) <= tol)
 

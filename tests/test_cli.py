@@ -89,6 +89,21 @@ def test_modes_csv_output(tmp_path, capsys):
     assert sum("mode" == line.split(",")[3] for line in lines[1:]) == 3
 
 
+@pytest.mark.parametrize("output", [[], ["--output", "-"]], ids=["no-output", "dash"])
+def test_modes_document_on_stdout_is_all_of_stdout(tmp_path, capsys, output):
+    base = str(tmp_path / "c")
+    run(capsys, "construct", "cross", "--output", base)
+    argv = ["modes", base + ".mixture.json", "--starts", "80", *output]
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["report"]["mode_count"] == 3
+    assert err.startswith("modes=3 ") and err.count("\n") == 1
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[0] == "x_1,x_2,log_density,kind,min_eigenvalue,converged_from"
+    assert err.startswith("modes=3 ") and err.count("\n") == 1
+
+
 def test_bounds_single(capsys):
     code, out, _ = run(capsys, "bounds", "--d", "2", "--k", "3")
     assert code == 0
@@ -120,8 +135,15 @@ def test_huge_upper_bound_is_printed_exactly(tmp_path, capsys, argv, d, k):
     path = tmp_path / "m.mixture.json"
     save_mixture(make_mixture(np.full(170, 1 / 170), 3.0 * np.arange(170)[:, None], [np.eye(1)] * 170), path)
     code, out, err = run(capsys, *(str(path) if a == "MIXTURE" else a for a in argv))
-    assert code == 0 and err == ""
-    assert str(bounds.upper(d, k)) in out
+    assert code == 0
+    upper = bounds.upper(d, k)
+    if "json" in argv:
+        # The report is all of stdout; the summary line goes to stderr.
+        assert json.loads(out)["report"]["bound_check"]["upper"] == upper
+        assert err.startswith("modes=") and err.endswith(f" upper_bound={upper}\n")
+    else:
+        assert err == ""
+        assert str(upper) in out
 
 
 def test_bounds_missing_args(capsys):

@@ -155,6 +155,89 @@ def test_ascent_monotone_log_density():
             x, logf = x_new, logf_new
 
 
+# The 20 starts of product_of_triangles(2, 0.72) (default_starts, budget
+# 2250, seed 0) that climb longest when each ascends alone, 28 to 42
+# iterations: flat regions near the near-degenerate modes, where the
+# mean-shift steps run overrelaxed.
+_PRODUCT_LONG_CLIMBS = [182, 334, 563, 697, 2237, 1651, 2075, 63, 1589, 1677,
+                        1496, 296, 566, 995, 2020, 1168, 1040, 1265, 1774, 1951]
+
+
+def _product_long_climbs(scen):
+    return default_starts(scen, budget=2250, seed=0)[_PRODUCT_LONG_CLIMBS]
+
+
+def _climb_trails(monkeypatch, mix, starts, scale):
+    """Ascend from each start alone; per start, one (x, log f, climbing,
+    Newton) tuple per iteration: the accepted point, its log-density,
+    whether the row climbs from it and whether that climb is a Newton step."""
+    states, trails = {}, []
+    state, newton_step = modefinder._state, modefinder._newton_step
+
+    def recorded_state(mix, X):
+        s = state(mix, X)
+        states[id(s[3])] = s  # the loop passes this grad array to _newton_step
+        return s
+
+    def recorded_newton_step(g, h, step_cap, polish):
+        step, concave = newton_step(g, h, step_cap, polish)
+        x, logf = states[id(g)][:2]
+        trails[-1].append((x[0].copy(), float(logf[0]), not polish[0], bool(concave[0])))
+        return step, concave
+
+    monkeypatch.setattr(modefinder, "_state", recorded_state)
+    monkeypatch.setattr(modefinder, "_newton_step", recorded_newton_step)
+    for x0 in starts:
+        trails.append([])
+        modefinder._ascend_batch(mix, x0[None, :], AscentOptions(), scale)
+    return trails
+
+
+@pytest.mark.parametrize(
+    "scenario, starts",
+    [
+        (duistermaat_triangle(0.6), lambda scen: np.random.default_rng(2).uniform(-2, 2, size=(20, 2))),
+        (product_of_triangles(2, 0.72), _product_long_climbs),
+    ],
+    ids=["triangle", "product"],
+)
+def test_overrelaxed_climb_is_monotone(monkeypatch, scenario, starts):
+    # No accepted climbing step, overrelaxed or not, lowers log f by more
+    # than the slack; and some accepted mean-shift steps are overrelaxed,
+    # longer than 1.5 plain steps.
+    mix = scenario.mixture
+    lo, hi = scenario.search_box
+    scale = float(np.linalg.norm(np.asarray(hi) - np.asarray(lo)))
+    overrelaxed = 0
+    for trail in _climb_trails(monkeypatch, mix, starts(scenario), scale):
+        for (x, logf, climbing, newton), (x_next, logf_next, _, _) in zip(trail, trail[1:]):
+            if not climbing:
+                continue
+            assert logf_next >= logf - modefinder._MONOTONE_SLACK
+            if not newton:
+                plain = np.linalg.norm(fixed_point_step(mix, x) - x)
+                overrelaxed += bool(np.linalg.norm(x_next - x) > 1.5 * plain)
+    assert overrelaxed > 0
+
+
+@pytest.mark.parametrize("seed, plain_calls", [(0, 289), (1, 353)])
+def test_product_ascent_work_bound(monkeypatch, seed, plain_calls):
+    # Overrelaxed climbing needs at most 200 derivative calls where plain
+    # mean-shift climbing needs 289 (seed 0) and 353 (seed 1).
+    scen = product_of_triangles(2, 0.72)
+    starts = default_starts(scen, budget=2250, seed=seed)
+    calls, derivatives = [], modefinder.derivatives
+
+    def counted(mix, X):
+        calls.append(len(X))
+        return derivatives(mix, X)
+
+    monkeypatch.setattr(modefinder, "derivatives", counted)
+    rep = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
+    assert rep.mode_count == scen.expected_modes and rep.starts_converged == len(starts)
+    assert len(calls) <= 200 < plain_calls
+
+
 # ----------------------------------------------------------------------
 # Newton step: symmetric elimination, eigh only where its eigenvalue floor acts
 # ----------------------------------------------------------------------
@@ -242,8 +325,9 @@ def test_product_ascent_runs_no_eigh(monkeypatch):
         (duistermaat_triangle(0.72), lambda scen: default_starts(scen, budget=150, seed=1)),
         # 20 of the catalog's 2250 starts: means, midpoints and Halton fill
         (product_of_triangles(2, 0.72), lambda scen: default_starts(scen, budget=2250, seed=1)[::112][:20]),
+        (product_of_triangles(2, 0.72), _product_long_climbs),
     ],
-    ids=["cross", "triangle", "product"],
+    ids=["cross", "triangle", "product", "product-long-climbs"],
 )
 def test_driver_identical_to_sequential_ascend(scenario, starts):
     mix = scenario.mixture
@@ -268,6 +352,21 @@ def test_driver_identical_to_sequential_ascend(scenario, starts):
         hits[near[0]] += 1
     assert converged == rep.starts_converged
     assert hits == [p.converged_from for p in rep.critical_points]
+
+
+def test_truncated_climb_of_a_row_does_not_depend_on_its_batch():
+    # Cut after 8 climbs and one Newton step, so that endpoints still show
+    # the climb: each row's overrelaxation is its own, and only rounding,
+    # which varies with the batch size, separates batch from lone rows.
+    scen = product_of_triangles(2, 0.72)
+    X = default_starts(scen, budget=2250, seed=0)
+    X = np.concatenate([X[_PRODUCT_LONG_CLIMBS], X[::50]])
+    lo, hi = scen.search_box
+    scale = float(np.linalg.norm(hi - lo))
+    opts = AscentOptions(max_fixed_point_iters=8, max_newton_iters=1)
+    batch = modefinder._ascend_batch(scen.mixture, X, opts, scale).x
+    alone = [modefinder._ascend_batch(scen.mixture, x[None, :], opts, scale).x[0] for x in X]
+    assert np.max(np.abs(batch - alone)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda scen: scen.name)
