@@ -208,14 +208,17 @@ def cmd_modes(args) -> int:
     report = find_critical_points(
         mix, starts, opts=config.ascent_options(), search_box=scen.search_box
     )
+    summary = _summary_line(report)
+    if config.format == "text":
+        # The summary line is the text document.
+        _write(summary + "\n", config.output_path)
+        return 0
     # A document written to stdout must be all of stdout, so the summary
     # then goes to stderr.
-    document = config.format != "text" or config.output_path is not None
-    to_stdout = config.output_path in (None, "-")
-    print(_summary_line(report), file=sys.stderr if document and to_stdout else sys.stdout)
+    print(summary, file=sys.stderr if config.output_path in (None, "-") else sys.stdout)
     if config.format == "csv":
         _write(report.to_csv(), config.output_path)
-    elif document:
+    else:
         doc = _envelope(config, {"report": report.to_dict()})
         _write(json.dumps(doc, indent=2) + "\n", config.output_path)
     return 0

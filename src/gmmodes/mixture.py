@@ -14,6 +14,11 @@ overflow or underflow.
 :func:`derivatives` is the batched kernel: log-density, responsibilities,
 grad f / f and Hess f / f for all rows of an (m, d) array from one
 :meth:`Mixture.log_terms` call. :func:`evaluate` is its one-point form.
+Inside the kernel the row axis is last: points are worked on as (d, m),
+per-component terms as (k, d, m) and Hessians as (d, d, m), so every
+elementwise pass runs over m contiguous values rather than over d <= 4.
+The (m, ...) results it returns are transposed views of those arrays, so
+a caller that keeps its rows last, as the ascent does, copies nothing.
 """
 
 from __future__ import annotations
@@ -122,9 +127,9 @@ class Mixture:
     def log_terms(self, X: np.ndarray) -> np.ndarray:
         """Per-component log(alpha_i * f_i(x)) for points X, shape (k, m)."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        # Rows of Z are the whitened offsets W_i (x - mu_i), all components at once.
-        Z = (X[None, :, :] - self._means[:, None, :]) @ np.swapaxes(self._whitens, 1, 2)
-        quad = np.einsum("kmd,kmd->km", Z, Z)
+        # Columns of Z are the whitened offsets W_i (x - mu_i), all components at once.
+        Z = self._whitens @ (X.T - self._means[:, :, None])  # (k, d, m)
+        quad = np.einsum("kdm,kdm->km", Z, Z)
         return (self._log_weights + self._log_norms)[:, None] - 0.5 * quad
 
     def log_density(self, X: np.ndarray) -> np.ndarray:
@@ -281,16 +286,23 @@ def derivatives(mix: Mixture, X) -> Derivatives:
     g_i = P_i (mu_i - x), giving grad f / f = sum_i r_i g_i and
     Hess f / f = sum_i r_i (g_i g_i^T - P_i). Both stay finite deep in the
     tails where the density itself underflows.
+
+    The work runs with the row axis last, and the gradient (m, d) and the
+    Hessian (m, d, d) come back as transposed views of (d, m) and
+    (d, d, m) arrays. The Hessian is symmetrized, since (r g_a) g_b and
+    (r g_b) g_a round differently.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
-    log_density, resp = mix._log_density_resp(X)             # (m,), (k, m)
-    G = (mix._means[:, None, :] - X[None, :, :]) @ mix._precisions  # (k, m, d)
-    RG = resp[:, :, None] * G
-    hess = RG.transpose(1, 2, 0) @ G.transpose(1, 0, 2)  # sum_i r_i g_i g_i^T, (m, d, d)
-    hess -= (resp.T @ mix._precisions.reshape(mix.k, d * d)).reshape(m, d, d)
-    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
-    return Derivatives(log_density, resp, np.sum(RG, axis=0), hess)
+    log_density, resp = mix._log_density_resp(X)  # (m,), (k, m)
+    offsets = mix._means[:, :, None] - X.T  # (k, d, m)
+    G = mix._precisions @ offsets
+    RG = np.multiply(resp[:, None, :], G, out=offsets)  # r_i g_i, in the offsets' buffer
+    hess = np.einsum("kam,kbm->abm", RG, G)  # sum_i r_i g_i g_i^T, (d, d, m)
+    del G  # before the (d, d, m) temporaries below
+    hess -= (mix._precisions.reshape(mix.k, d * d).T @ resp).reshape(d, d, m)
+    hess = 0.5 * (hess + hess.transpose(1, 0, 2))
+    return Derivatives(log_density, resp, np.sum(RG, axis=0).T, hess.transpose(2, 0, 1))
 
 
 def evaluate(mix: Mixture, x) -> EvalResult:

@@ -18,6 +18,13 @@ and near-singular Hessians go through eigh, whose eigenvalue floor keeps
 the step finite. The multistart driver, :func:`ascend` (a batch of one)
 and the k = 2 ridgeline oracle all run through that loop.
 
+The loop keeps its rows on the last axis, as the kernel computes them:
+points and gradients are (d, m), Hessians (d, d, m), responsibilities
+(k, m). With d <= 4 and up to thousands of starts, each elementwise step
+of the elimination and of the step rules then runs over m contiguous
+values instead of d. The (m, ...) arrays of the public API are transposed
+views of these.
+
 All convergence tests are scale-free (||grad f|| / f) because density
 magnitudes across the constructions here differ by hundreds of orders
 of magnitude.
@@ -195,15 +202,17 @@ def mixture_digest(mix: Mixture) -> str:
 # ----------------------------------------------------------------------
 
 def _mean_shift_step(mix: Mixture, resp: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Mean-shift step A^{-1} grad f / f, A = sum_i r_i P_i, for rows with
-    responsibilities resp (m, k)."""
-    A = (resp @ mix._precisions.reshape(mix.k, -1)).reshape(g.shape + g.shape[-1:])
-    return np.linalg.solve(A, g[..., None])[..., 0]
+    """Mean-shift steps A^{-1} grad f / f, A = sum_i r_i P_i, for the rows of
+    g = grad f / f (d, m) with responsibilities resp (k, m); shape (d, m)."""
+    d, m = g.shape
+    A = (mix._precisions.reshape(mix.k, d * d).T @ resp).reshape(d, d, m)
+    return np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an (m, d) array."""
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+    """Euclidean norm of each row of a rows-last (d, m) array, summed in
+    coordinate order whatever the batch size (einsum is not, for m = 1)."""
+    return np.sqrt(np.sum(a * a, axis=0))
 
 
 def _as_starts(mix: Mixture, starts) -> np.ndarray:
@@ -222,11 +231,12 @@ def fixed_point_step(mix: Mixture, x) -> np.ndarray:
     """One mean-shift step from x; fixed points are critical points."""
     X = _as_starts(mix, np.ravel(x)[None, :])
     _, resp, g, _ = derivatives(mix, X)
-    return X[0] + _mean_shift_step(mix, resp.T, g)[0]
+    return X[0] + _mean_shift_step(mix, resp, g.T)[:, 0]
 
 
 class _Endpoints(NamedTuple):
-    """Ascent endpoints of m starts, row-aligned."""
+    """Ascent endpoints of m starts, row-aligned (transposed views of the
+    ascent's rows-last arrays)."""
 
     x: np.ndarray             # (m, d)
     log_density: np.ndarray   # (m,)
@@ -250,10 +260,11 @@ class _Endpoints(NamedTuple):
         )
 
 
-def _state(mix: Mixture, X: np.ndarray):
-    """(X, log f, responsibilities (m, k), grad f / f, Hess f / f) at the rows of X."""
-    logf, resp, g, h = derivatives(mix, X)
-    return [X, logf, resp.T, g, h]
+def _state(mix: Mixture, x: np.ndarray):
+    """[x, log f, responsibilities, grad f / f, Hess f / f] at the rows of
+    x (d, m), rows last: shapes (d, m), (m,), (k, m), (d, m), (d, d, m)."""
+    logf, resp, g, h = derivatives(mix, x.T)
+    return [x, logf, resp, g.T, h.transpose(1, 2, 0)]
 
 
 # A pivot in the elimination of -Hess f / f is clearly nonzero when its
@@ -267,7 +278,7 @@ _SWEEP_CONDITION = 1e10
 
 def _sweep_newton_rows(g: np.ndarray, h: np.ndarray):
     """Newton steps -H^{-1} g by symmetric elimination of A = -H, vectorized
-    over the rows of g (m, d) and h = H (m, d, d).
+    over the rows of g (d, m) and h = H (d, d, m), rows last.
 
     The pivots are those of the Cholesky factorization A = L L^T (the
     squares of diag L), taken without square roots. Sweeping them out of
@@ -275,38 +286,38 @@ def _sweep_newton_rows(g: np.ndarray, h: np.ndarray):
     operator) leaves -A^{-1} in its leading block and A^{-1} g, the Newton
     step, in its last column.
 
-    Returns (step, definite, indefinite). A row is ``definite`` when every
-    pivot exceeds _PIVOT_TOLERANCE times its largest absolute entry and
-    trace(A) trace(A^{-1}), an upper bound on its condition number, is
+    Returns (step (d, m), definite, indefinite). A row is ``definite`` when
+    every pivot exceeds _PIVOT_TOLERANCE times its largest absolute entry
+    and trace(A) trace(A^{-1}), an upper bound on its condition number, is
     below _SWEEP_CONDITION; only definite rows get a nonzero step. A row is
     ``indefinite`` when a pivot falls below minus that margin while every
     earlier pivot passed. Rows that are neither sit in the near-singular
     band.
     """
-    m, d = g.shape
-    S = np.zeros((m, d + 1, d + 1))
-    S[:, :d, :d] = -h
-    S[:, :d, d] = S[:, d, :d] = g
-    margin = _PIVOT_TOLERANCE * np.max(np.abs(h.reshape(m, d * d)), axis=1)
+    d, m = g.shape
+    S = np.zeros((d + 1, d + 1, m))
+    S[:d, :d] = -h
+    S[:d, d] = S[d, :d] = g
+    margin = _PIVOT_TOLERANCE * np.max(np.abs(h.reshape(d * d, m)), axis=0)
     definite, indefinite = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     for j in range(d):
-        pivot = S[:, j, j]
+        pivot = S[j, j]
         indefinite |= definite & (pivot < -margin)
         definite &= pivot > margin
         # 1 / pivot, and 0 once a pivot has failed, which keeps S finite.
         inv = definite / np.where(definite, pivot, 1.0)
-        row = S[:, j, :] * inv[:, None]
-        S -= S[:, :, j, None] * row[:, None, :]
-        S[:, j, :] = S[:, :, j] = row
-        S[:, j, j] = -inv
-    condition = np.trace(h, axis1=1, axis2=2) * np.trace(S[:, :d, :d], axis1=1, axis2=2)
+        row = S[j] * inv
+        S -= S[:, j, None] * row
+        S[j] = S[:, j] = row
+        S[j, j] = -inv
+    condition = np.trace(h) * np.trace(S[:d, :d])
     definite &= condition < _SWEEP_CONDITION
-    return S[:, :d, d] * definite[:, None], definite, indefinite
+    return S[:d, d] * definite, definite, indefinite
 
 
 def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float, polish: np.ndarray):
-    """Newton steps -H^{-1} g capped at step_cap, and whether each H is negative
-    definite, for the rows of g (m, d) and h = H (m, d, d).
+    """Newton steps -H^{-1} g (d, m) capped at step_cap, and whether each H is
+    negative definite, for the rows of g (d, m) and h = H (d, d, m).
 
     Symmetric elimination of -H (:func:`_sweep_newton_rows`) decides
     concavity. Rows it shows clearly negative definite take its step.
@@ -319,14 +330,14 @@ def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float, polish: np.ndarr
     step, concave, indefinite = _sweep_newton_rows(g, h)
     rest = ~concave & (polish | ~indefinite)
     if np.any(rest):
-        w, V = np.linalg.eigh(h[rest])
+        w, V = np.linalg.eigh(h[..., rest].transpose(2, 0, 1))
         floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
         concave[rest] = w[:, -1] < 0.0
         w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
-        step[rest] = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g[rest]) / w)
+        step[:, rest] = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g[:, rest].T) / w).T
     norm = _row_norms(step)
     long = norm > step_cap
-    step[long] *= (step_cap / norm[long])[:, None]
+    step[:, long] *= step_cap / norm[long]
     return step, concave
 
 
@@ -370,17 +381,22 @@ def _ascend_batch(
 
     A row has converged when ||grad f / f|| <= gradient_tolerance at its
     endpoint. The working set is compacted only when rows finish.
+
+    The loop state keeps the row axis last, as the kernel works: points and
+    gradients (d, m), Hessians (d, d, m), responsibilities (k, m). The
+    elimination and the step rules then act on m contiguous values per
+    entry, not on d <= 4.
     """
     tol, step_cap = opts.gradient_tolerance, 0.5 * max(scale, 1e-300)
-    X = np.array(X, dtype=float)
-    n, d = X.shape
-    out = [X, np.empty(n), np.empty((n, d)), np.empty((n, d, d))]  # x, log f, grad, Hess
+    x0 = np.array(np.transpose(X), dtype=float, order="C")
+    d, n = x0.shape
+    out = [x0, np.empty(n), np.empty((d, n)), np.empty((d, d, n))]  # x, log f, grad, Hess
     rows = np.arange(n)
     polish = np.zeros(n, dtype=bool) if polishing is None else np.array(polishing, dtype=bool)
     steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
     stalled = np.zeros(n, dtype=bool)  # the last step was below step_tolerance
     eta = np.ones(n)  # overrelaxation of each row's mean-shift step
-    cur = _state(mix, X.copy())
+    cur = _state(mix, x0.copy())
     while rows.size:
         x, logf, resp, g, h = cur
         g_norm = _row_norms(g)
@@ -390,8 +406,8 @@ def _ascend_batch(
         newton = polish | concave
         shift = ~newton
         if np.any(shift):
-            step[shift] = _mean_shift_step(mix, resp[shift], g[shift])
-        x_new = x + np.where(newton[:, None], step, eta[:, None] * step)
+            step[:, shift] = _mean_shift_step(mix, resp[:, shift], g[:, shift])
+        x_new = x + np.where(newton, step, eta * step)
         new = _state(mix, x_new)
         halvings = np.zeros(rows.size, dtype=int)
         while True:
@@ -403,21 +419,21 @@ def _ascend_batch(
             settle = worse & (g_norm <= tol)
             if np.any(settle):
                 for a, b in zip(new, cur):
-                    a[settle] = b[settle]
+                    a[..., settle] = b[..., settle]
             redo = retake | (drop & (halvings < 60)) | (worse & ~settle & (halvings < 30))
             if not np.any(redo):
                 break
             halve = redo & ~retake
-            x_new[halve] = 0.5 * (x_new[halve] + x[halve])
+            x_new[:, halve] = 0.5 * (x_new[:, halve] + x[:, halve])
             halvings[halve] += 1
             fall = retake & newton
             if np.any(fall):
-                step[fall] = _mean_shift_step(mix, resp[fall], g[fall])
+                step[:, fall] = _mean_shift_step(mix, resp[:, fall], g[:, fall])
             eta[retake & ~newton] = 1.0
-            x_new[retake] = x[retake] + eta[retake, None] * step[retake]
+            x_new[:, retake] = x[:, retake] + eta[retake] * step[:, retake]
             newton[retake] = False
-            for a, b in zip(new, _state(mix, x_new[redo])):
-                a[redo] = b
+            for a, b in zip(new, _state(mix, x_new[:, redo])):
+                a[..., redo] = b
         grow = ~newton & (halvings == 0)
         eta[grow] = np.minimum(2.0 * eta[grow], _OVERRELAX_CAP)
         stalled = _row_norms(x_new - x) < opts.step_tolerance
@@ -426,11 +442,12 @@ def _ascend_batch(
         done = polish & (stalled | (steps >= opts.max_newton_iters))
         if np.any(done):
             for a, b in zip(out, (cur[0], cur[1], cur[3], cur[4])):
-                a[rows[done]] = b[done]
+                a[..., rows[done]] = b[..., done]
             keep = ~done
             rows, polish, steps, stalled, eta = (a[keep] for a in (rows, polish, steps, stalled, eta))
-            cur = [a[keep] for a in cur]
-    return _Endpoints(*out, _row_norms(out[2]) <= tol)
+            cur = [a[..., keep] for a in cur]
+    x, logf, grad, hess = out
+    return _Endpoints(x.T, logf, grad.T, hess.transpose(2, 0, 1), _row_norms(grad) <= tol)
 
 
 _PROBE_FRACTIONS = (1e-4, 1e-3, 1e-2)
@@ -603,7 +620,7 @@ def _distinct_critical_points(mix: Mixture, pol: _Endpoints, opts, scale: float,
     # Deterministic dedup order: lexicographic by location.
     conv_idx = np.flatnonzero(pol.converged)
     conv_idx = conv_idx[np.lexsort(pol.x[conv_idx].T[::-1])]
-    grad_norms = _row_norms(pol.grad)
+    grad_norms = _row_norms(pol.grad.T)
     return [
         pol.critical_point(min(cl, key=lambda i: grad_norms[i]), mix, opts, scale, converged_from=len(cl))
         for cl in _dedup(pol.x, conv_idx, radius)

@@ -104,6 +104,23 @@ def test_modes_document_on_stdout_is_all_of_stdout(tmp_path, capsys, output):
     assert err.startswith("modes=3 ") and err.count("\n") == 1
 
 
+def test_modes_text_output_is_the_summary_line(tmp_path, capsys):
+    # The default --format text writes the summary line wherever --output
+    # points, not a JSON document.
+    base = str(tmp_path / "c")
+    run(capsys, "construct", "cross", "--output", base)
+    argv = ["modes", base + ".mixture.json", "--starts", "80"]
+    code, summary, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert summary.startswith("modes=3 ") and summary.endswith(" upper_bound=968\n")
+    out_path = tmp_path / "report.txt"
+    code, out, err = run(capsys, *argv, "--output", str(out_path))
+    assert code == 0 and out == "" and err == ""
+    assert out_path.read_text() == summary
+    code, out, err = run(capsys, *argv, "--output", "-")
+    assert code == 0 and out == summary and err == ""
+
+
 def test_bounds_single(capsys):
     code, out, _ = run(capsys, "bounds", "--d", "2", "--k", "3")
     assert code == 0

@@ -1,12 +1,13 @@
 """Mixture construction, evaluation and invariants."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 
-from gmmodes.constructions import arrangement_scenario, generic_arrangement
+from gmmodes.constructions import arrangement_scenario, generic_arrangement, product_of_triangles
 from gmmodes.errors import (
     DimensionMismatch,
     NegativeWeight,
@@ -27,6 +28,7 @@ from gmmodes.mixture import (
     mixture_to_dict,
     save_mixture,
 )
+from gmmodes.modefinder import default_starts
 
 
 def cross_mixture():
@@ -303,6 +305,36 @@ def test_evaluate_is_kernel_row():
         assert np.array_equal(res.responsibilities, der.responsibilities[:, 0])
         assert np.array_equal(res.grad_over_density, der.grad_over_density[0])
         assert np.array_equal(res.hessian_over_density, der.hessian_over_density[0])
+
+
+def test_kernel_hessian_is_exactly_symmetric():
+    # The Newton sweep reads both triangles of Hess f / f and eigh reads one,
+    # so they must agree bit for bit.
+    rng = np.random.default_rng(14)
+    for d in range(1, 5):
+        for k in (1, 2, 5, 9):
+            mix = random_mixture(rng, d, k)
+            H = derivatives(mix, rng.uniform(-4, 4, size=(50, d))).hessian_over_density
+            assert np.array_equal(H, np.swapaxes(H, 1, 2))
+    scen = arrangement_scenario(generic_arrangement(2, 3, seed=1), 2.0**-10)
+    lo, hi = scen.search_box
+    H = derivatives(scen.mixture, rng.uniform(lo, hi, size=(200, 2))).hessian_over_density
+    assert np.array_equal(H, np.swapaxes(H, 1, 2))
+
+
+def test_kernel_peak_memory():
+    # One call over the catalog's heaviest batch (k = 9, d = 4, 2250 rows)
+    # holds at most two (k, d, m) temporaries (0.65 MB each) at a time.
+    scen = product_of_triangles(2, 0.72)
+    X = default_starts(scen, budget=2250, seed=0)
+    derivatives(scen.mixture, X)
+    tracemalloc.start()
+    try:
+        derivatives(scen.mixture, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 # ----------------------------------------------------------------------

@@ -170,7 +170,8 @@ def _product_long_climbs(scen):
 def _climb_trails(monkeypatch, mix, starts, scale):
     """Ascend from each start alone; per start, one (x, log f, climbing,
     Newton) tuple per iteration: the accepted point, its log-density,
-    whether the row climbs from it and whether that climb is a Newton step."""
+    whether the row climbs from it and whether that climb is a Newton step.
+    The loop state is rows last, so a lone start's point is column 0."""
     states, trails = {}, []
     state, newton_step = modefinder._state, modefinder._newton_step
 
@@ -182,7 +183,7 @@ def _climb_trails(monkeypatch, mix, starts, scale):
     def recorded_newton_step(g, h, step_cap, polish):
         step, concave = newton_step(g, h, step_cap, polish)
         x, logf = states[id(g)][:2]
-        trails[-1].append((x[0].copy(), float(logf[0]), not polish[0], bool(concave[0])))
+        trails[-1].append((x[:, 0].copy(), float(logf[0]), not polish[0], bool(concave[0])))
         return step, concave
 
     monkeypatch.setattr(modefinder, "_state", recorded_state)
@@ -235,7 +236,7 @@ def test_product_ascent_work_bound(monkeypatch, seed, plain_calls):
     monkeypatch.setattr(modefinder, "derivatives", counted)
     rep = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
     assert rep.mode_count == scen.expected_modes and rep.starts_converged == len(starts)
-    assert len(calls) <= 200 < plain_calls
+    assert 0 < len(calls) <= 200 < plain_calls
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +274,9 @@ def _random_newton_rows(rng, d, m, cond):
 def test_newton_step_matches_eigh_reference(d, cond):
     g, h, polish = _random_newton_rows(np.random.default_rng(30 + d), d, 1000, cond)
     for cap in (np.inf, 0.5):
-        step, concave = modefinder._newton_step(g, h, cap, polish)
+        # _newton_step takes and returns its rows last.
+        step, concave = modefinder._newton_step(g.T, h.transpose(1, 2, 0), cap, polish)
+        step = step.T
         ref_step, ref_concave = _eigh_newton_step(g, h, cap)
         assert np.array_equal(concave, ref_concave)
         used = polish | concave  # the rows whose Newton step is taken
@@ -289,10 +292,11 @@ def test_newton_step_of_a_row_does_not_depend_on_its_batch():
     for d in range(1, 5):
         rows = [_random_newton_rows(rng, d, 30, cond) for cond in (1e6, np.inf)]
         g, h, polish = (np.concatenate(parts) for parts in zip(*rows))
+        g, h = g.T, h.transpose(1, 2, 0)  # rows last, as _newton_step takes them
         step, concave = modefinder._newton_step(g, h, 0.5, polish)
-        for i in range(len(g)):
-            one_step, one_concave = modefinder._newton_step(g[i : i + 1], h[i : i + 1], 0.5, polish[i : i + 1])
-            assert np.array_equal(one_step[0], step[i]) and one_concave[0] == concave[i]
+        for i in range(len(polish)):
+            one_step, one_concave = modefinder._newton_step(g[:, i : i + 1], h[..., i : i + 1], 0.5, polish[i : i + 1])
+            assert np.array_equal(one_step[:, 0], step[:, i]) and one_concave[0] == concave[i]
 
 
 def _count_eigh_rows(monkeypatch):
@@ -392,7 +396,7 @@ def test_ascend_from_critical_point_stays_put(scenario, monkeypatch):
         end = ascend(scenario.mixture, cp.location, scale=scale)
         assert end.converged
         assert np.linalg.norm(end.location - cp.location) <= 1e-12
-        assert len(calls) <= 3
+        assert 1 <= len(calls) <= 3
 
 
 # ----------------------------------------------------------------------
