@@ -2,9 +2,10 @@
 tables, export density grids and ridgeline samples, and verify the whole
 scenario catalog.
 
-Every JSON artifact embeds the tool version, the seed and the fully
-resolved options, so a run can be reproduced from its own output. The
-``timestamp`` field is the only part that varies between identical runs.
+Every JSON artifact embeds the tool version and, as ``config``, the
+command's own arguments, defaults filled in, so a run can be reproduced
+from its own output. The ``timestamp`` field is the only part that varies
+between identical runs.
 """
 
 from __future__ import annotations
@@ -17,19 +18,19 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, bounds
 from .constructions import (
-    Scenario,
     arrangement_scenario,
     cross_example,
     duistermaat_triangle,
     generic_arrangement,
     product_of_triangles,
     scenario_catalog,
+    scenario_from_metadata,
     scenario_metadata,
     seven_mode_probe,
     univariate_pair,
@@ -41,7 +42,7 @@ from .errors import (
     UnknownScenario,
     UnsupportedDimension,
 )
-from .mixture import Mixture, load_mixture, mixture_to_dict
+from .mixture import Mixture, mixture_to_dict
 from .modefinder import (
     AscentOptions,
     _ridgeline_k2,
@@ -49,31 +50,25 @@ from .modefinder import (
     find_critical_points,
 )
 
-_CONSTRUCT_NAMES = ("cross", "duistermaat", "univariate", "arrangement", "seven-probe", "product")
+# The scenarios of ``gmmodes construct``, each built from the parsed arguments.
+_CONSTRUCTIONS = {
+    "cross": lambda a: cross_example(),
+    "duistermaat": lambda a: duistermaat_triangle(a.sigma),
+    "univariate": lambda a: univariate_pair(a.mu1, a.sigma1, a.mu2, a.sigma2, a.alpha),
+    "arrangement": lambda a: arrangement_scenario(generic_arrangement(a.d, a.k, seed=a.seed), a.delta),
+    "seven-probe": lambda a: seven_mode_probe(a.sigma_t, a.sigma_n),
+    "product": lambda a: product_of_triangles(a.n, a.sigma),
+}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 0
-    start_budget: int = 500
-    gradient_tolerance: float = 1e-10
-    dedup_radius: float | None = None
-    output_path: str | None = None
-    format: str = "text"
-
-    def ascent_options(self) -> AscentOptions:
-        return AscentOptions(
-            gradient_tolerance=self.gradient_tolerance,
-            dedup_radius=self.dedup_radius,
-        )
-
-
-def _envelope(config: RunConfig, payload: dict) -> dict:
+def _envelope(args, payload: dict) -> dict:
+    """A JSON artifact: ``payload`` under the tool, its version, the time
+    and ``config``, the command's own parsed arguments."""
     return {
         "tool": "gmmodes",
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "config": asdict(config),
+        "config": {key: value for key, value in vars(args).items() if key != "func"},
         **payload,
     }
 
@@ -91,31 +86,6 @@ def _write(text: str, path: str | None) -> None:
             raise InvalidParameter(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _scenario_for_mixture(mix: Mixture, meta: dict | None) -> Scenario:
-    from .constructions import _search_box
-
-    if meta is not None and "search_box" in meta:
-        try:
-            box = tuple(np.asarray(meta["search_box"][end], dtype=float) for end in ("lo", "hi"))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidParameter(f"metadata search_box needs numeric lo and hi ({exc!r})") from exc
-        if box[0].shape != (mix.dim,) or box[1].shape != (mix.dim,):
-            raise DimensionMismatch(f"metadata search_box does not match dim {mix.dim}")
-        name = meta.get("name", "file")
-        expected = meta.get("expected_modes")
-        provenance = meta.get("provenance", "none")
-    else:
-        box = _search_box(mix)
-        name, expected, provenance = "file", None, "none"
-    return Scenario(
-        name=name,
-        mixture=mix,
-        expected_modes=expected,
-        expectation_provenance=provenance,
-        search_box=box,
-    )
-
-
 def _summary_line(report) -> str:
     return (
         f"modes={report.mode_count} "
@@ -131,35 +101,15 @@ def _summary_line(report) -> str:
 # ----------------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    name = args.scenario
-    if name == "cross":
-        scen = cross_example()
-    elif name == "duistermaat":
-        scen = duistermaat_triangle(args.sigma)
-    elif name == "univariate":
-        scen = univariate_pair(args.mu1, args.sigma1, args.mu2, args.sigma2, args.alpha)
-    elif name == "arrangement":
-        arr = generic_arrangement(args.d, args.k, seed=args.seed)
-        scen = arrangement_scenario(arr, args.delta)
-    elif name == "seven-probe":
-        scen = seven_mode_probe(args.sigma_t, args.sigma_n)
-    elif name == "product":
-        scen = product_of_triangles(args.n, args.sigma)
-    else:
+    build = _CONSTRUCTIONS.get(args.scenario)
+    if build is None:
         raise UnknownScenario(
-            f"unknown scenario {name!r}; choose from {', '.join(_CONSTRUCT_NAMES)}"
+            f"unknown scenario {args.scenario!r}; choose from {', '.join(_CONSTRUCTIONS)}"
         )
-
-    base = args.output or name
-    config = RunConfig(seed=args.seed, output_path=base)
-    mix_doc = _envelope(config, {"mixture": mixture_to_dict(scen.mixture)})
-    meta = scenario_metadata(scen)
-    if scen.arrangement is not None:
-        meta["vertices"] = scen.arrangement.vertices.tolist()
-        meta["normals"] = scen.arrangement.normals.tolist()
-        meta["offsets"] = scen.arrangement.offsets.tolist()
-        meta["genericity_margin"] = scen.arrangement.genericity_margin
-    meta_doc = _envelope(config, {"metadata": meta})
+    scen = build(args)
+    base = args.output_path or args.scenario
+    mix_doc = _envelope(args, {"mixture": mixture_to_dict(scen.mixture)})
+    meta_doc = _envelope(args, {"metadata": scenario_metadata(scen)})
     _write(json.dumps(mix_doc, indent=2) + "\n", base + ".mixture.json")
     _write(json.dumps(meta_doc, indent=2) + "\n", base + ".meta.json")
     print(f"wrote {base}.mixture.json and {base}.meta.json ({scen.name})")
@@ -194,33 +144,24 @@ def _load_mixture_file(path: str) -> tuple[Mixture, dict | None]:
 
 
 def cmd_modes(args) -> int:
-    config = RunConfig(
-        seed=args.seed,
-        start_budget=args.starts,
-        gradient_tolerance=args.grad_tol,
-        dedup_radius=args.dedup_radius,
-        output_path=args.output,
-        format=args.format,
-    )
     mix, meta = _load_mixture_file(args.mixture)
-    scen = _scenario_for_mixture(mix, meta)
-    starts = default_starts(scen, budget=config.start_budget, seed=config.seed)
-    report = find_critical_points(
-        mix, starts, opts=config.ascent_options(), search_box=scen.search_box
-    )
+    scen = scenario_from_metadata(mix, meta)
+    starts = default_starts(scen, budget=args.start_budget, seed=args.seed)
+    opts = AscentOptions(gradient_tolerance=args.gradient_tolerance, dedup_radius=args.dedup_radius)
+    report = find_critical_points(mix, starts, opts=opts, search_box=scen.search_box)
     summary = _summary_line(report)
-    if config.format == "text":
+    if args.format == "text":
         # The summary line is the text document.
-        _write(summary + "\n", config.output_path)
+        _write(summary + "\n", args.output_path)
         return 0
     # A document written to stdout must be all of stdout, so the summary
     # then goes to stderr.
-    print(summary, file=sys.stderr if config.output_path in (None, "-") else sys.stdout)
-    if config.format == "csv":
-        _write(report.to_csv(), config.output_path)
+    print(summary, file=sys.stderr if args.output_path in (None, "-") else sys.stdout)
+    if args.format == "csv":
+        _write(report.to_csv(), args.output_path)
     else:
-        doc = _envelope(config, {"report": report.to_dict()})
-        _write(json.dumps(doc, indent=2) + "\n", config.output_path)
+        doc = _envelope(args, {"report": report.to_dict()})
+        _write(json.dumps(doc, indent=2) + "\n", args.output_path)
     return 0
 
 
@@ -228,12 +169,12 @@ def cmd_bounds(args) -> int:
     if args.table:
         table = bounds.bound_table(args.table[0], args.table[1])
         if args.format == "csv":
-            _write(bounds.table_to_csv(table), args.output)
+            _write(bounds.table_to_csv(table), args.output_path)
         elif args.format == "json":
             cells = [asdict(b) for row in table for b in row]
-            _write(json.dumps({"version": __version__, "table": cells}, indent=2) + "\n", args.output)
+            _write(json.dumps(_envelope(args, {"table": cells}), indent=2) + "\n", args.output_path)
         else:
-            _write(bounds.table_to_text(table), args.output)
+            _write(bounds.table_to_text(table), args.output_path)
     else:
         if args.d is None or args.k is None:
             raise GmModesError("bounds needs either --table D_MAX K_MAX or both --d and --k")
@@ -242,7 +183,7 @@ def cmd_bounds(args) -> int:
             f"d={d} k={k} lower={bounds.lower(d, k)} "
             f"conjecture={bounds.conjecture(d, k)} upper={bounds.upper(d, k)}"
         )
-        _write(line + "\n", args.output)
+        _write(line + "\n", args.output_path)
     return 0
 
 
@@ -265,7 +206,7 @@ def cmd_scan(args) -> int:
         raise UnsupportedDimension(f"grid scan supports d in {{1, 2}}, got d={mix.dim}")
     if not 1 <= args.res <= 2000:
         raise InvalidParameter(f"resolution {args.res} is outside 1..2000 per axis")
-    scen = _scenario_for_mixture(mix, meta)
+    scen = scenario_from_metadata(mix, meta)
     lo, hi = (_corner(text, mix.dim, box) for text, box in zip((args.lo, args.hi), scen.search_box))
     axes = [np.linspace(lo[i], hi[i], args.res) for i in range(mix.dim)]
     out = io.StringIO()
@@ -277,7 +218,7 @@ def cmd_scan(args) -> int:
         pts = np.column_stack([np.full(args.res, v) for v in lead] + [axes[-1]])
         for p, v in zip(pts, mix.log_density(pts)):
             writer.writerow([repr(float(c)) for c in p] + [repr(float(v))])
-    _write(out.getvalue(), args.output)
+    _write(out.getvalue(), args.output_path)
     return 0
 
 
@@ -297,24 +238,20 @@ def cmd_ridgeline(args) -> int:
         writer.writerow(
             [repr(float(t[i]))] + [repr(float(v)) for v in x[i]] + [repr(float(ld[i]))]
         )
-    _write(out.getvalue(), args.output)
+    _write(out.getvalue(), args.output_path)
     return 0
 
 
 def cmd_verify(args) -> int:
     if args.starts < 1:
         raise InvalidParameter(f"--starts must be >= 1, got {args.starts}")
-    config = RunConfig(seed=args.seed, start_budget=args.starts)
     scenarios = [s for s in scenario_catalog() if args.only is None or args.only in s.name]
     if not scenarios:
         raise InvalidParameter(f"--only {args.only!r} matches no scenario in the catalog")
     failures = 0
     for scen in scenarios:
-        budget = max(config.start_budget, 250 * scen.mixture.k)
-        starts = default_starts(scen, budget=budget, seed=config.seed)
-        report = find_critical_points(
-            scen.mixture, starts, opts=config.ascent_options(), search_box=scen.search_box
-        )
+        starts = default_starts(scen, budget=max(args.starts, 250 * scen.mixture.k), seed=args.seed)
+        report = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
         if scen.expected_modes is None:
             verdict, ok = "no-expectation", True
         else:
@@ -338,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="write a named scenario to mixture + metadata files")
-    c.add_argument("scenario", help=f"one of: {', '.join(_CONSTRUCT_NAMES)}")
+    c.add_argument("scenario", help=f"one of: {', '.join(_CONSTRUCTIONS)}")
     c.add_argument("--sigma", type=float, default=0.72)
     c.add_argument("--mu1", type=float, default=0.0)
     c.add_argument("--sigma1", type=float, default=1.0)
@@ -352,16 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--sigma-n", type=float, default=0.01)
     c.add_argument("--n", type=int, default=2)
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--output", default=None)
+    c.add_argument("--output", dest="output_path", default=None)
     c.set_defaults(func=cmd_construct)
 
     m = sub.add_parser("modes", help="find and classify the critical points of a mixture file")
     m.add_argument("mixture")
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--starts", type=int, default=500)
+    m.add_argument("--starts", dest="start_budget", type=int, default=500)
     m.add_argument("--dedup-radius", type=float, default=None)
-    m.add_argument("--grad-tol", type=float, default=1e-10)
-    m.add_argument("--output", default=None)
+    m.add_argument("--grad-tol", dest="gradient_tolerance", type=float, default=AscentOptions.gradient_tolerance)
+    m.add_argument("--output", dest="output_path", default=None)
     m.add_argument("--format", choices=("json", "csv", "text"), default="text")
     m.set_defaults(func=cmd_modes)
 
@@ -369,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--d", type=int, default=None)
     b.add_argument("--k", type=int, default=None)
     b.add_argument("--table", type=int, nargs=2, metavar=("D_MAX", "K_MAX"))
-    b.add_argument("--output", default=None)
+    b.add_argument("--output", dest="output_path", default=None)
     b.add_argument("--format", choices=("json", "csv", "text"), default="text")
     b.set_defaults(func=cmd_bounds)
 
@@ -378,13 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--lo", default=None, help="comma-separated lower corner")
     s.add_argument("--hi", default=None, help="comma-separated upper corner")
     s.add_argument("--res", type=int, default=200)
-    s.add_argument("--output", default=None)
+    s.add_argument("--output", dest="output_path", default=None)
     s.set_defaults(func=cmd_scan)
 
     r = sub.add_parser("ridgeline", help="CSV of ridgeline curve samples for k = 2")
     r.add_argument("mixture")
     r.add_argument("--samples", type=int, default=1001)
-    r.add_argument("--output", default=None)
+    r.add_argument("--output", dest="output_path", default=None)
     r.set_defaults(func=cmd_ridgeline)
 
     v = sub.add_parser("verify", help="run the full scenario catalog and check mode counts")

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DeltaNotFound,
+    DimensionMismatch,
     GenericityFailure,
     InvalidDelta,
     InvalidParameter,
@@ -39,6 +40,7 @@ __all__ = [
     "product_of_triangles",
     "scenario_catalog",
     "scenario_metadata",
+    "scenario_from_metadata",
 ]
 
 GENERICITY_MARGIN = 0.05
@@ -383,29 +385,30 @@ def _cube_certificate(arr, mix, delta, vertex_index) -> bool:
     return bool(center > np.max(mix.log_density(boundary)))
 
 
-def select_delta(
-    arr: HyperplaneArrangement,
-    start_budget: int = 500,
-    seed: int = 0,
-    opts=None,
-):
+def _arrangement_target(d: int, k: int) -> int:
+    """The construction's mode count: C(k,d) vertex modes plus k mean
+    modes, or k when d = 1, where vertex and mean modes coincide."""
+    return comb(k, d) + k if d >= 2 else k
+
+
+def select_delta(arr: HyperplaneArrangement, start_budget: int = 500, seed: int = 0):
     """Walk the halving schedule 1/2, 1/4, ..., 2^-20 and return the first
     delta whose arrangement mixture measurably reaches the target mode
-    count (C(k,d) + k, or k when d = 1 where vertex and mean modes
-    coincide) and passes the cube certificate at every vertex.
+    count (:func:`_arrangement_target`) and passes the cube certificate at
+    every vertex.
 
     Returns a dict with keys ``delta``, ``report``, ``target``.
     """
     from .modefinder import default_starts, find_critical_points
 
     d, k = arr.dim, arr.k
-    target = comb(k, d) + k if d >= 2 else k
+    target = _arrangement_target(d, k)
     counts = {}
     for delta in _DELTA_SCHEDULE:
         scen = arrangement_scenario(arr, delta, name=f"arrangement(d={d},k={k})")
         mix = scen.mixture
         starts = default_starts(scen, budget=start_budget, seed=seed)
-        report = find_critical_points(mix, starts, opts=opts, search_box=scen.search_box)
+        report = find_critical_points(mix, starts, search_box=scen.search_box)
         counts[delta] = report.mode_count
         if report.mode_count >= target and all(
             _cube_certificate(arr, mix, delta, j) for j in range(len(arr.vertices))
@@ -536,16 +539,16 @@ def scenario_catalog() -> list[Scenario]:
     for d, k in _CATALOG_ARRANGEMENTS:
         arr = generic_arrangement(d, k, seed=_CATALOG_ARRANGEMENT_SEED)
         if d == 1:
-            expected, provenance = k, "derived"
+            provenance = "derived"
             note = "d=1: vertex and mean modes coincide, expected k not C(k,1)+k"
         else:
-            expected, provenance = comb(k, d) + k, "paper"
+            provenance = "paper"
             note = f"expected C({k},{d})+{k} modes"
         scen = arrangement_scenario(
             arr,
             _CATALOG_DELTA,
             name=f"arrangement(d={d},k={k})",
-            expected=expected,
+            expected=_arrangement_target(d, k),
             provenance=provenance,
         )
         notes = f"{note}; delta={_CATALOG_DELTA}, seed={_CATALOG_ARRANGEMENT_SEED}"
@@ -555,12 +558,48 @@ def scenario_catalog() -> list[Scenario]:
 
 
 def scenario_metadata(scen: Scenario) -> dict:
-    """Sidecar metadata object for scenario serialization."""
+    """The sidecar object written as ``<base>.meta.json`` beside a
+    scenario's mixture file; :func:`scenario_from_metadata` reads it back.
+    An arrangement scenario also records its hyperplanes and vertices."""
     lo, hi = scen.search_box
-    return {
+    meta = {
         "name": scen.name,
         "expected_modes": scen.expected_modes,
         "provenance": scen.expectation_provenance,
         "search_box": {"lo": list(map(float, lo)), "hi": list(map(float, hi))},
         "notes": scen.notes,
     }
+    arr = scen.arrangement
+    if arr is not None:
+        meta["vertices"] = arr.vertices.tolist()
+        meta["normals"] = arr.normals.tolist()
+        meta["offsets"] = arr.offsets.tolist()
+        meta["genericity_margin"] = arr.genericity_margin
+    return meta
+
+
+def scenario_from_metadata(mix: Mixture, meta: dict | None) -> Scenario:
+    """The scenario of a mixture read from a file, with its sidecar object
+    ``meta`` (None when there is none).
+
+    A sidecar without ``search_box`` counts as none: the scenario is then
+    named ``file``, has no expected count and takes the default search box.
+    The arrangement fields are not read back, so the default starts of a
+    file never include its vertices.
+    """
+    if meta is None or "search_box" not in meta:
+        return Scenario("file", mix, None, "none", _search_box(mix))
+    try:
+        box = tuple(np.asarray(meta["search_box"][end], dtype=float) for end in ("lo", "hi"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameter(f"metadata search_box needs numeric lo and hi ({exc!r})") from exc
+    if box[0].shape != (mix.dim,) or box[1].shape != (mix.dim,):
+        raise DimensionMismatch(f"metadata search_box does not match dim {mix.dim}")
+    return Scenario(
+        name=meta.get("name", "file"),
+        mixture=mix,
+        expected_modes=meta.get("expected_modes"),
+        expectation_provenance=meta.get("provenance", "none"),
+        search_box=box,
+        notes=meta.get("notes", ""),
+    )

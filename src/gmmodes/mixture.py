@@ -109,16 +109,8 @@ class Mixture:
         return len(self.components)
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self._log_weights)
-
-    @property
     def means(self) -> np.ndarray:
         return self._means.copy()
-
-    @property
-    def covariances(self) -> np.ndarray:
-        return np.stack([c.cov for c in self.components])
 
     # ------------------------------------------------------------------
     # Batched internals. X has shape (m, d); all returns are per-point.

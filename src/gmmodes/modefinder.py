@@ -65,30 +65,31 @@ _MONOTONE_SLACK = 1e-12
 _OVERRELAX_CAP = 64.0
 
 
+# A start climbs at most this many steps, then polishes at most this many.
+_MAX_CLIMBS = 500
+_MAX_NEWTON_STEPS = 50
+# A step shorter than this ends climbing, or polishing.
+_STEP_TOLERANCE = 1e-12
+# A Hessian eigenvalue is degenerate when its magnitude is at most this
+# fraction of the largest at the point being classified.
+_DEGENERATE_EIGEN_TOLERANCE = 1e-8
+
+
 @dataclass(frozen=True)
 class AscentOptions:
-    """Tolerances and iteration caps for the ascent: a start climbs at most
-    ``max_fixed_point_iters`` and polishes at most ``max_newton_iters`` steps.
-
-    ``dedup_radius`` of None means 1e-5 times the search-box diameter,
-    resolved per run from the bounding box of the starts.
-    ``degenerate_eigen_tolerance`` is relative to the largest absolute
-    Hessian eigenvalue at the point being classified.
+    """The settable tolerances of a run: a row has converged when
+    ||grad f / f|| <= ``gradient_tolerance`` at its endpoint, and endpoints
+    within ``dedup_radius`` are one point. ``dedup_radius`` of None means
+    1e-5 times the search-box diameter, resolved per run from the bounding
+    box of the starts.
     """
 
-    max_fixed_point_iters: int = 500
-    max_newton_iters: int = 50
     gradient_tolerance: float = 1e-10
-    step_tolerance: float = 1e-12
     dedup_radius: float | None = None
-    degenerate_eigen_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.max_fixed_point_iters < 1 or self.max_newton_iters < 1:
-            raise InvalidParameter("iteration caps must be >= 1")
-        for name in ("gradient_tolerance", "step_tolerance", "degenerate_eigen_tolerance"):
-            if not getattr(self, name) > 0.0:
-                raise InvalidParameter(f"{name} must be > 0")
+        if not self.gradient_tolerance > 0.0:
+            raise InvalidParameter("gradient_tolerance must be > 0")
         if self.dedup_radius is not None and not self.dedup_radius > 0.0:
             raise InvalidParameter("dedup_radius must be > 0")
 
@@ -244,9 +245,9 @@ class _Endpoints(NamedTuple):
     hess: np.ndarray          # (m, d, d) Hess f / f
     converged: np.ndarray     # (m,) bool
 
-    def critical_point(self, i: int, mix: Mixture, opts, scale: float, converged_from: int = 1):
+    def critical_point(self, i: int, mix: Mixture, scale: float, converged_from: int = 1):
         """Classify row i into a CriticalPoint."""
-        kind, sidx, eigs, degen = _classify(mix, self.x[i], self.hess[i], opts, scale)
+        kind, sidx, eigs, degen = _classify(mix, self.x[i], self.hess[i], scale)
         return CriticalPoint(
             location=self.x[i].copy(),
             log_density=float(self.log_density[i]),
@@ -362,11 +363,11 @@ def _ascend_batch(
       after each mean-shift step accepted without halving. It is per-row
       state, compacted with the rows.
     - Handover to polishing: ||grad f / f|| < 1e3 * gradient_tolerance, a
-      step below step_tolerance, or max_fixed_point_iters climbs. Rows
+      step below _STEP_TOLERANCE, or _MAX_CLIMBS climbs. Rows
       marked in ``polishing`` start there.
     - Polishing: damped Newton, a step halved toward its origin (at most
       30 times) while it more than doubles ||grad f / f||, until a step
-      below step_tolerance or max_newton_iters steps. It goes past the
+      below _STEP_TOLERANCE or _MAX_NEWTON_STEPS steps. It goes past the
       gradient test so that starts in flat regions land on one point
       rather than scattering across the plateau. A row already within
       gradient_tolerance whose step is rejected keeps its point and stops
@@ -394,13 +395,13 @@ def _ascend_batch(
     rows = np.arange(n)
     polish = np.zeros(n, dtype=bool) if polishing is None else np.array(polishing, dtype=bool)
     steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
-    stalled = np.zeros(n, dtype=bool)  # the last step was below step_tolerance
+    stalled = np.zeros(n, dtype=bool)  # the last step was below _STEP_TOLERANCE
     eta = np.ones(n)  # overrelaxation of each row's mean-shift step
     cur = _state(mix, x0.copy())
     while rows.size:
         x, logf, resp, g, h = cur
         g_norm = _row_norms(g)
-        start = ~polish & ((g_norm < 1e3 * tol) | stalled | (steps >= opts.max_fixed_point_iters))
+        start = ~polish & ((g_norm < 1e3 * tol) | stalled | (steps >= _MAX_CLIMBS))
         polish[start], steps[start] = True, 0
         step, concave = _newton_step(g, h, step_cap, polish)
         newton = polish | concave
@@ -436,10 +437,10 @@ def _ascend_batch(
                 a[..., redo] = b
         grow = ~newton & (halvings == 0)
         eta[grow] = np.minimum(2.0 * eta[grow], _OVERRELAX_CAP)
-        stalled = _row_norms(x_new - x) < opts.step_tolerance
+        stalled = _row_norms(x_new - x) < _STEP_TOLERANCE
         cur = new
         steps += 1
-        done = polish & (stalled | (steps >= opts.max_newton_iters))
+        done = polish & (stalled | (steps >= _MAX_NEWTON_STEPS))
         if np.any(done):
             for a, b in zip(out, (cur[0], cur[1], cur[3], cur[4])):
                 a[..., rows[done]] = b[..., done]
@@ -474,10 +475,10 @@ def _probe_extremum(mix: Mixture, x: np.ndarray, directions: np.ndarray, scale: 
     return "degenerate"
 
 
-def _classify(mix: Mixture, x: np.ndarray, hess: np.ndarray, opts: AscentOptions, scale: float):
+def _classify(mix: Mixture, x: np.ndarray, hess: np.ndarray, scale: float):
     """Classify a converged critical point from its Hessian spectrum (Hess f / f)."""
     eigs = np.sort(np.linalg.eigvalsh(hess))
-    tol = opts.degenerate_eigen_tolerance * np.max(np.abs(eigs)) if eigs.size else 0.0
+    tol = _DEGENERATE_EIGEN_TOLERANCE * np.max(np.abs(eigs)) if eigs.size else 0.0
     d = eigs.size
     degenerate = bool(np.any(np.abs(eigs) <= tol))
     if not degenerate:
@@ -506,7 +507,7 @@ def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | N
     X = _as_starts(mix, np.ravel(x0)[None, :])
     if scale is None:
         scale = _default_scale(mix)
-    return _ascend_batch(mix, X, opts, scale).critical_point(0, mix, opts, scale)
+    return _ascend_batch(mix, X, opts, scale).critical_point(0, mix, scale)
 
 
 def _default_scale(mix: Mixture) -> float:
@@ -597,34 +598,27 @@ def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
 # Multistart driver
 # ----------------------------------------------------------------------
 
-def _dedup(points: np.ndarray, order_key, radius):
-    """Greedy clustering of the rows of points, taken in order_key order:
-    each joins the earliest cluster whose first member lies within radius,
-    else starts a new one. Returns list of index lists, built one cluster
-    at a time (the first unassigned point heads the next cluster)."""
-    order = np.asarray(order_key, dtype=int)
-    pts = points[order]
+def _distinct_critical_points(mix: Mixture, pol: _Endpoints, scale: float, radius: float):
+    """Cluster the converged rows of pol and classify each cluster's row of
+    smallest ||grad f / f||.
+
+    Clustering is greedy over the rows in lexicographic order of location,
+    so it is deterministic: the first unassigned row heads the next
+    cluster, which takes every unassigned row within radius of it."""
+    order = np.flatnonzero(pol.converged)
+    order = order[np.lexsort(pol.x[order].T[::-1])]
+    pts = pol.x[order]
+    grad_norms = _row_norms(pol.grad.T)
     unassigned = np.ones(order.size, dtype=bool)
-    clusters = []
+    points = []
     while np.any(unassigned):
         head = int(np.argmax(unassigned))
         members = unassigned & (np.linalg.norm(pts - pts[head], axis=1) <= radius)
-        clusters.append(order[members].tolist())
+        cluster = order[members]
+        best = cluster[np.argmin(grad_norms[cluster])]
+        points.append(pol.critical_point(best, mix, scale, converged_from=cluster.size))
         unassigned &= ~members
-    return clusters
-
-
-def _distinct_critical_points(mix: Mixture, pol: _Endpoints, opts, scale: float, radius: float):
-    """Dedup the converged rows of pol and classify each cluster's row of
-    smallest ||grad f / f||."""
-    # Deterministic dedup order: lexicographic by location.
-    conv_idx = np.flatnonzero(pol.converged)
-    conv_idx = conv_idx[np.lexsort(pol.x[conv_idx].T[::-1])]
-    grad_norms = _row_norms(pol.grad.T)
-    return [
-        pol.critical_point(min(cl, key=lambda i: grad_norms[i]), mix, opts, scale, converged_from=len(cl))
-        for cl in _dedup(pol.x, conv_idx, radius)
-    ]
+    return points
 
 
 def find_critical_points(
@@ -654,7 +648,7 @@ def find_critical_points(
     radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale
 
     pol = _ascend_batch(mix, X, opts, scale)
-    critical_points = _distinct_critical_points(mix, pol, opts, scale, radius)
+    critical_points = _distinct_critical_points(mix, pol, scale, radius)
 
     mode_count = sum(1 for c in critical_points if c.kind == "mode")
     up = bounds.upper(mix.dim, mix.k)
@@ -771,7 +765,7 @@ def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
     return a, b
 
 
-def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions | None = None):
+def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000):
     """Exhaustively enumerate the critical points of a 2-component mixture.
 
     Every critical point lies on the ridgeline curve x*(t), t in [0, 1], at
@@ -791,7 +785,6 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions |
         raise InvalidParameter(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
     if samples < 1000:
         raise TooFewSamples(f"need at least 1000 samples, got {samples}")
-    opts = opts or AscentOptions()
     curve = _ridgeline_k2(mix)
 
     def residual(t):
@@ -810,9 +803,8 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000, opts: AscentOptions |
     scale = _default_scale(mix)
     seeds = np.concatenate([curve(roots), mix._means])
     polishing = np.arange(len(seeds)) < len(roots)
-    pol = _ascend_batch(mix, seeds, opts, scale, polishing)
-    radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale
-    return _distinct_critical_points(mix, pol, opts, scale, radius)
+    pol = _ascend_batch(mix, seeds, AscentOptions(), scale, polishing)
+    return _distinct_critical_points(mix, pol, scale, 1e-5 * scale)
 
 
 def verify_ridgeline_membership(mix: Mixture, cp: CriticalPoint) -> float:

@@ -235,6 +235,29 @@ def test_ridgeline_requires_two_components(tmp_path, capsys):
     assert code == 2
 
 
+def test_every_json_artifact_records_its_arguments(tmp_path, capsys):
+    base = str(tmp_path / "tri")
+    assert run(capsys, "construct", "duistermaat", "--sigma", "0.6", "--output", base)[0] == 0
+    report, table = tmp_path / "report.json", tmp_path / "table.json"
+    argv = (
+        ["modes", base + ".mixture.json", "--starts", "40", "--format", "json", "--output", str(report)],
+        ["bounds", "--table", "2", "2", "--format", "json", "--output", str(table)],
+    )
+    for args in argv:
+        assert run(capsys, *args)[0] == 0
+    paths = (tmp_path / "tri.mixture.json", tmp_path / "tri.meta.json", report, table)
+    docs = [json.loads(p.read_text()) for p in paths]
+    for doc in docs:
+        assert {"tool", "version", "timestamp", "config"} <= set(doc)
+    assert docs[0]["config"]["sigma"] == 0.6
+    assert set(docs[2]["config"]) == {
+        "command", "mixture", "seed", "start_budget", "dedup_radius", "gradient_tolerance", "output_path", "format",
+    }
+    assert docs[1]["config"] == docs[0]["config"]
+    assert docs[3]["config"]["table"] == [2, 2]
+    assert len(docs[3]["table"]) == 4
+
+
 def test_construct_unknown_scenario(capsys):
     code, _, err = run(capsys, "construct", "pentagon")
     assert code == 2

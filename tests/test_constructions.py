@@ -1,5 +1,6 @@
 """Scenario generators, arrangements and the delta-cubed construction."""
 
+import json
 from math import comb, sqrt
 
 import numpy as np
@@ -13,6 +14,7 @@ from gmmodes.constructions import (
     generic_arrangement,
     product_mixture,
     scenario_catalog,
+    scenario_from_metadata,
     scenario_metadata,
     select_delta,
     seven_mode_probe,
@@ -292,3 +294,26 @@ def test_scenario_metadata_schema():
     meta = scenario_metadata(cross_example())
     assert set(meta) == {"name", "expected_modes", "provenance", "search_box", "notes"}
     assert set(meta["search_box"]) == {"lo", "hi"}
+
+
+@pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda scen: scen.name)
+def test_scenario_metadata_round_trip(scenario):
+    # Written as a sidecar file is, then read back: every field but the
+    # arrangement, which is written for readers and never read back.
+    meta = json.loads(json.dumps(scenario_metadata(scenario)))
+    assert ("vertices" in meta) == (scenario.arrangement is not None)
+    back = scenario_from_metadata(scenario.mixture, meta)
+    for field in ("name", "mixture", "expected_modes", "expectation_provenance", "notes"):
+        assert getattr(back, field) == getattr(scenario, field)
+    for end, end_back in zip(scenario.search_box, back.search_box):
+        assert np.array_equal(end, end_back)
+    assert back.arrangement is None
+
+
+def test_scenario_from_missing_metadata_is_a_plain_file():
+    scen = cross_example()
+    for meta in (None, {"name": "cross"}):
+        back = scenario_from_metadata(scen.mixture, meta)
+        assert (back.name, back.expected_modes, back.expectation_provenance) == ("file", None, "none")
+        for end, end_back in zip(scen.search_box, back.search_box):
+            assert np.array_equal(end, end_back)

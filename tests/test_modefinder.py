@@ -65,8 +65,6 @@ def run_multistart(mix, budget=200, seed=0):
 
 def test_options_validation():
     with pytest.raises(ValueError):
-        AscentOptions(max_fixed_point_iters=0)
-    with pytest.raises(ValueError):
         AscentOptions(gradient_tolerance=0.0)
     with pytest.raises(ValueError):
         AscentOptions(dedup_radius=-1.0)
@@ -358,7 +356,7 @@ def test_driver_identical_to_sequential_ascend(scenario, starts):
     assert hits == [p.converged_from for p in rep.critical_points]
 
 
-def test_truncated_climb_of_a_row_does_not_depend_on_its_batch():
+def test_truncated_climb_of_a_row_does_not_depend_on_its_batch(monkeypatch):
     # Cut after 8 climbs and one Newton step, so that endpoints still show
     # the climb: each row's overrelaxation is its own, and only rounding,
     # which varies with the batch size, separates batch from lone rows.
@@ -367,10 +365,14 @@ def test_truncated_climb_of_a_row_does_not_depend_on_its_batch():
     X = np.concatenate([X[_PRODUCT_LONG_CLIMBS], X[::50]])
     lo, hi = scen.search_box
     scale = float(np.linalg.norm(hi - lo))
-    opts = AscentOptions(max_fixed_point_iters=8, max_newton_iters=1)
-    batch = modefinder._ascend_batch(scen.mixture, X, opts, scale).x
+    opts = AscentOptions()
+    assert np.all(modefinder._ascend_batch(scen.mixture, X, opts, scale).converged)
+    monkeypatch.setattr(modefinder, "_MAX_CLIMBS", 8)
+    monkeypatch.setattr(modefinder, "_MAX_NEWTON_STEPS", 1)
+    batch = modefinder._ascend_batch(scen.mixture, X, opts, scale)
+    assert (len(X), np.sum(~batch.converged)) == (65, 25)  # the cut took effect
     alone = [modefinder._ascend_batch(scen.mixture, x[None, :], opts, scale).x[0] for x in X]
-    assert np.max(np.abs(batch - alone)) <= 1e-10 * scale
+    assert np.max(np.abs(batch.x - alone)) <= 1e-10 * scale
 
 
 @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda scen: scen.name)
@@ -481,11 +483,10 @@ def test_report_classification_invariants():
     scen = duistermaat_triangle(0.72)
     starts = default_starts(scen, budget=150, seed=1)
     rep = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
-    opts = AscentOptions()
     for cp in rep.critical_points:
-        assert cp.gradient_norm <= opts.gradient_tolerance
+        assert cp.gradient_norm <= AscentOptions().gradient_tolerance
         if cp.kind == "mode" and not cp.degenerate_hessian:
-            tol = opts.degenerate_eigen_tolerance * np.max(np.abs(cp.hessian_eigenvalues))
+            tol = modefinder._DEGENERATE_EIGEN_TOLERANCE * np.max(np.abs(cp.hessian_eigenvalues))
             assert np.all(cp.hessian_eigenvalues < -tol)
 
 
