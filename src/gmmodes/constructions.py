@@ -584,8 +584,8 @@ def scenario_from_metadata(mix: Mixture, meta: dict | None) -> Scenario:
 
     A sidecar without ``search_box`` counts as none: the scenario is then
     named ``file``, has no expected count and takes the default search box.
-    The arrangement fields are not read back, so the default starts of a
-    file never include its vertices.
+    A sidecar's arrangement is read back, so the file's default starts
+    include its ``vertices``, which must be finite, of shape (n, d).
     """
     if meta is None or "search_box" not in meta:
         return Scenario("file", mix, None, "none", _search_box(mix))
@@ -595,6 +595,17 @@ def scenario_from_metadata(mix: Mixture, meta: dict | None) -> Scenario:
         raise InvalidParameter(f"metadata search_box needs numeric lo and hi ({exc!r})") from exc
     if box[0].shape != (mix.dim,) or box[1].shape != (mix.dim,):
         raise DimensionMismatch(f"metadata search_box does not match dim {mix.dim}")
+    arr = None
+    if "vertices" in meta:
+        try:
+            normals, offsets, vertices = (np.asarray(meta[f], float) for f in ("normals", "offsets", "vertices"))
+            margin = float(meta["genericity_margin"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidParameter(f"metadata arrangement fields must be numeric ({exc!r})") from exc
+        if vertices.ndim != 2 or vertices.shape[1] != mix.dim or not np.isfinite(vertices).all():
+            raise InvalidParameter(f"metadata vertices must be finite, shape (n, {mix.dim}), got {vertices.shape}")
+        subsets = tuple(itertools.combinations(range(offsets.size), mix.dim))
+        arr = HyperplaneArrangement(mix.dim, normals, offsets, vertices, subsets, margin)
     return Scenario(
         name=meta.get("name", "file"),
         mixture=mix,
@@ -602,4 +613,5 @@ def scenario_from_metadata(mix: Mixture, meta: dict | None) -> Scenario:
         expectation_provenance=meta.get("provenance", "none"),
         search_box=box,
         notes=meta.get("notes", ""),
+        arrangement=arr,
     )

@@ -134,9 +134,9 @@ class Mixture:
     def _log_density_resp(self, X: np.ndarray):
         """Log-density (m,) and responsibilities (k, m) from one log_terms call."""
         lt = self.log_terms(X)
-        shift = np.max(lt, axis=0)
+        shift = lt.max(axis=0)
         w = np.exp(lt - shift)
-        wsum = np.sum(w, axis=0)
+        wsum = w.sum(axis=0)
         return shift + np.log(wsum), w / wsum
 
     def grad_over_density(self, X: np.ndarray) -> np.ndarray:
@@ -294,7 +294,7 @@ def derivatives(mix: Mixture, X) -> Derivatives:
     del G  # before the (d, d, m) temporaries below
     hess -= (mix._precisions.reshape(mix.k, d * d).T @ resp).reshape(d, d, m)
     hess = 0.5 * (hess + hess.transpose(1, 0, 2))
-    return Derivatives(log_density, resp, np.sum(RG, axis=0).T, hess.transpose(2, 0, 1))
+    return Derivatives(log_density, resp, RG.sum(axis=0).T, hess.transpose(2, 0, 1))
 
 
 def evaluate(mix: Mixture, x) -> EvalResult:

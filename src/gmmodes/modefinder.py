@@ -213,7 +213,7 @@ def _mean_shift_step(mix: Mixture, resp: np.ndarray, g: np.ndarray) -> np.ndarra
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row of a rows-last (d, m) array, summed in
     coordinate order whatever the batch size (einsum is not, for m = 1)."""
-    return np.sqrt(np.sum(a * a, axis=0))
+    return np.sqrt((a * a).sum(axis=0))
 
 
 def _as_starts(mix: Mixture, starts) -> np.ndarray:
@@ -299,11 +299,12 @@ def _sweep_newton_rows(g: np.ndarray, h: np.ndarray):
     S = np.zeros((d + 1, d + 1, m))
     S[:d, :d] = -h
     S[:d, d] = S[d, :d] = g
-    margin = _PIVOT_TOLERANCE * np.max(np.abs(h.reshape(d * d, m)), axis=0)
+    margin = _PIVOT_TOLERANCE * np.abs(h.reshape(d * d, m)).max(axis=0)
+    low = -margin
     definite, indefinite = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     for j in range(d):
         pivot = S[j, j]
-        indefinite |= definite & (pivot < -margin)
+        indefinite |= definite & (pivot < low)
         definite &= pivot > margin
         # 1 / pivot, and 0 once a pivot has failed, which keeps S finite.
         inv = definite / np.where(definite, pivot, 1.0)
@@ -311,7 +312,7 @@ def _sweep_newton_rows(g: np.ndarray, h: np.ndarray):
         S -= S[:, j, None] * row
         S[j] = S[:, j] = row
         S[j, j] = -inv
-    condition = np.trace(h) * np.trace(S[:d, :d])
+    condition = h.trace() * S[:d, :d].trace()
     definite &= condition < _SWEEP_CONDITION
     return S[:d, d] * definite, definite, indefinite
 
@@ -330,15 +331,16 @@ def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float, polish: np.ndarr
     sign, so saddles are still repelled."""
     step, concave, indefinite = _sweep_newton_rows(g, h)
     rest = ~concave & (polish | ~indefinite)
-    if np.any(rest):
+    if rest.any():
         w, V = np.linalg.eigh(h[..., rest].transpose(2, 0, 1))
-        floor = np.maximum(1e-12 * np.max(np.abs(w), axis=1), 1e-300)[:, None]
+        floor = np.maximum(1e-12 * np.abs(w).max(axis=1), 1e-300)[:, None]
         concave[rest] = w[:, -1] < 0.0
         w = np.where(np.abs(w) < floor, np.where(w >= 0, floor, -floor), w)
         step[:, rest] = -np.einsum("mij,mj->mi", V, np.einsum("mji,mj->mi", V, g[:, rest].T) / w).T
     norm = _row_norms(step)
     long = norm > step_cap
-    step[:, long] *= step_cap / norm[long]
+    if long.any():
+        step[:, long] *= step_cap / norm[long]
     return step, concave
 
 
@@ -398,37 +400,42 @@ def _ascend_batch(
     stalled = np.zeros(n, dtype=bool)  # the last step was below _STEP_TOLERANCE
     eta = np.ones(n)  # overrelaxation of each row's mean-shift step
     cur = _state(mix, x0.copy())
+    g_norm = _row_norms(cur[3])  # ||grad f / f|| at cur's rows, then carried from the repair check
     while rows.size:
         x, logf, resp, g, h = cur
-        g_norm = _row_norms(g)
         start = ~polish & ((g_norm < 1e3 * tol) | stalled | (steps >= _MAX_CLIMBS))
         polish[start], steps[start] = True, 0
         step, concave = _newton_step(g, h, step_cap, polish)
         newton = polish | concave
         shift = ~newton
-        if np.any(shift):
+        if shift.any():
             step[:, shift] = _mean_shift_step(mix, resp[:, shift], g[:, shift])
         x_new = x + np.where(newton, step, eta * step)
         new = _state(mix, x_new)
         halvings = np.zeros(rows.size, dtype=int)
         while True:
+            new_norm = _row_norms(new[3])
             drop = ~polish & (new[1] < logf - _MONOTONE_SLACK)
+            worse = polish & (new_norm > 2.0 * g_norm)
+            if not (drop | worse).any():
+                break
             # Newton rows fall back to the mean-shift step, overrelaxed ones
             # to the plain one; any other dropping row halves its step.
             retake = drop & (newton | (eta > 1.0))
-            worse = polish & (_row_norms(new[3]) > 2.0 * g_norm)
             settle = worse & (g_norm <= tol)
-            if np.any(settle):
+            if settle.any():
                 for a, b in zip(new, cur):
                     a[..., settle] = b[..., settle]
+                new_norm[settle] = g_norm[settle]
             redo = retake | (drop & (halvings < 60)) | (worse & ~settle & (halvings < 30))
-            if not np.any(redo):
+            if not redo.any():
                 break
+            # In place: x_new is new[0], which the settle rule resets.
             halve = redo & ~retake
-            x_new[:, halve] = 0.5 * (x_new[:, halve] + x[:, halve])
-            halvings[halve] += 1
+            np.copyto(x_new, 0.5 * (x_new + x), where=halve)
+            halvings += halve
             fall = retake & newton
-            if np.any(fall):
+            if fall.any():
                 step[:, fall] = _mean_shift_step(mix, resp[:, fall], g[:, fall])
             eta[retake & ~newton] = 1.0
             x_new[:, retake] = x[:, retake] + eta[retake] * step[:, retake]
@@ -436,17 +443,18 @@ def _ascend_batch(
             for a, b in zip(new, _state(mix, x_new[:, redo])):
                 a[..., redo] = b
         grow = ~newton & (halvings == 0)
-        eta[grow] = np.minimum(2.0 * eta[grow], _OVERRELAX_CAP)
+        np.copyto(eta, np.minimum(2.0 * eta, _OVERRELAX_CAP), where=grow)
         stalled = _row_norms(x_new - x) < _STEP_TOLERANCE
-        cur = new
+        cur, g_norm = new, new_norm
         steps += 1
         done = polish & (stalled | (steps >= _MAX_NEWTON_STEPS))
-        if np.any(done):
+        if done.any():
+            # Integer indices: each boolean mask index would redo its nonzero.
+            fin, keep = done.nonzero()[0], (~done).nonzero()[0]
             for a, b in zip(out, (cur[0], cur[1], cur[3], cur[4])):
-                a[..., rows[done]] = b[..., done]
-            keep = ~done
-            rows, polish, steps, stalled, eta = (a[keep] for a in (rows, polish, steps, stalled, eta))
-            cur = [a[..., keep] for a in cur]
+                a[..., rows[fin]] = b.take(fin, axis=-1)
+            rows, polish, steps, stalled, eta, g_norm = (a[keep] for a in (rows, polish, steps, stalled, eta, g_norm))
+            cur = [a.take(keep, axis=-1) for a in cur]
     x, logf, grad, hess = out
     return _Endpoints(x.T, logf, grad.T, hess.transpose(2, 0, 1), _row_norms(grad) <= tol)
 
@@ -580,18 +588,13 @@ def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
         raise DimensionMismatch(f"search box shapes {lo.shape}, {hi.shape} do not match dim {mix.dim}")
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
         raise InvalidParameter(f"search box needs finite lo < hi in every coordinate, got {lo}, {hi}")
-    pts = [c.mean for c in mix.components]
-    arr = getattr(scenario, "arrangement", None)
-    if arr is not None:
-        pts.extend(v for v in arr.vertices)
-    means = mix._means
-    for i in range(mix.k):
-        for j in range(i + 1, mix.k):
-            pts.append(0.5 * (means[i] + means[j]))
-    remaining = budget - len(pts)
+    arr, means = getattr(scenario, "arrangement", None), mix._means
+    pts = [means, *([] if arr is None else [arr.vertices])]
+    pts += [0.5 * (means[i] + means[i + 1 :]) for i in range(mix.k - 1)]  # pairs (i, j > i), in order
+    remaining = budget - sum(len(p) for p in pts)
     if remaining > 0:
-        pts.extend(lo + _halton(remaining, mix.dim, seed) * (hi - lo))
-    return np.array(pts)
+        pts.append(lo + _halton(remaining, mix.dim, seed) * (hi - lo))
+    return np.concatenate(pts)
 
 
 # ----------------------------------------------------------------------
@@ -721,9 +724,10 @@ def _ridgeline_k2(mix: Mixture):
             (halves[0], t, t <= 0.5),
             (halves[1], 1.0 - t, t > 0.5),
         ):
-            s = s[rows, None]
-            den = s * lam + (1.0 - s)
-            x[rows] = mu_b + (s * e / den) @ B.T
+            if rows.any():
+                s = s[rows, None]
+                den = s * lam + (1.0 - s)
+                x[rows] = mu_b + (s * e / den) @ B.T
         return x
 
     return curve
@@ -752,14 +756,13 @@ def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
         x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
         # Stay eps inside, or a root pinned within rounding of an endpoint
         # draws x onto that endpoint round after round; x stays within r.
-        x = np.clip(x, ao + eps, bo - eps)
+        x = x.clip(ao + eps, bo - eps)
         y = f(x)
         zero = y == 0.0
         left = ~zero & ((y < 0) == (fao < 0))
         right = ~zero & ~left
-        a[open_[zero]] = b[open_[zero]] = x[zero]
-        a[open_[left]], fa[open_[left]] = x[left], y[left]
-        b[open_[right]], fb[open_[right]] = x[right], y[right]
+        a[open_], fa[open_] = np.where(right, ao, x), np.where(left, y, fao)
+        b[open_], fb[open_] = np.where(left, bo, x), np.where(right, y, fbo)
         j += 1
         open_ = open_[b[open_] - a[open_] > width]
     return a, b

@@ -313,24 +313,38 @@ def test_modes_rejects_bad_budget_seed_and_box(tmp_path, capsys):
 
 
 def test_modes_and_verify_load_no_scipy(tmp_path, capsys):
+    # Every cold CLI run pays for each import: modes and verify load only the
+    # standard library, numpy and gmmodes. Modules already loaded at start-up
+    # (site .pth hooks) do not count, nor do the file-less modules that
+    # Cython-compiled numpy extensions register (cython_runtime, _cython_*).
     base = str(tmp_path / "c")
     run(capsys, "construct", "cross", "--output", base)
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from gmmodes.cli import main\n"
         f"assert main(['modes', {base + '.mixture.json'!r}, '--starts', '50']) == 0\n"
         "assert main(['verify', '--only', 'cross', '--starts', '50']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(t for t in tops - set(sys.stdlib_module_names) - {'numpy', 'gmmodes'}\n"
+        "             if getattr(sys.modules.get(t), '__file__', None)))\n"
     )
     src = os.path.dirname(os.path.dirname(gmmodes.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-2:] == ["[]", "[]"]
 
 
 def _with_mixture(doc, **fields):
     return json.dumps({**doc, "mixture": {**doc["mixture"], **fields}})
+
+
+def _with_arrangement(meta, vertices):
+    """Give a cross sidecar the arrangement fields, with these vertices."""
+    meta["metadata"].update(normals=[[1.0, 0.0], [0.0, 1.0]], offsets=[0.0, 0.0], genericity_margin=1.0,
+                            vertices=vertices)
 
 
 # Input from outside the program: each case must end in one `error:` line and
@@ -348,6 +362,12 @@ def _with_mixture(doc, **fields):
         pytest.param(lambda doc: None, None, ["modes", "MIXTURE"], id="missing-file"),
         pytest.param(None, lambda meta: meta["metadata"]["search_box"].pop("hi"), ["modes", "MIXTURE"],
                      id="meta-box-without-hi"),
+        pytest.param(None, lambda meta: _with_arrangement(meta, [[0.0, float("nan")]]), ["modes", "MIXTURE"],
+                     id="meta-vertices-not-finite"),
+        pytest.param(None, lambda meta: _with_arrangement(meta, [0.0, 1.0]), ["modes", "MIXTURE"],
+                     id="meta-vertices-not-rows"),
+        pytest.param(None, lambda meta: _with_arrangement(meta, [[0.0, "x"]]), ["modes", "MIXTURE"],
+                     id="meta-vertices-not-numbers"),
         pytest.param(None, None, ["scan", "MIXTURE", "--lo", "a,b"], id="scan-lo-not-numbers"),
         pytest.param(None, None, ["scan", "MIXTURE", "--lo", "0"], id="scan-lo-wrong-dim"),
         pytest.param(None, None, ["scan", "MIXTURE", "--res", "-5"], id="scan-negative-res"),

@@ -28,6 +28,7 @@ from gmmodes.errors import (
     TooManyComponents,
 )
 from gmmodes.mixture import evaluate, is_homoscedastic, is_isotropic, make_mixture
+from gmmodes.modefinder import default_starts
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +299,9 @@ def test_scenario_metadata_schema():
 
 @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda scen: scen.name)
 def test_scenario_metadata_round_trip(scenario):
-    # Written as a sidecar file is, then read back: every field but the
-    # arrangement, which is written for readers and never read back.
+    # Written as a sidecar file is, then read back: every field, and an
+    # arrangement whose vertices seed the file's default starts, so that
+    # `gmmodes modes` on a constructed file starts where `verify` does.
     meta = json.loads(json.dumps(scenario_metadata(scenario)))
     assert ("vertices" in meta) == (scenario.arrangement is not None)
     back = scenario_from_metadata(scenario.mixture, meta)
@@ -307,7 +309,13 @@ def test_scenario_metadata_round_trip(scenario):
         assert getattr(back, field) == getattr(scenario, field)
     for end, end_back in zip(scenario.search_box, back.search_box):
         assert np.array_equal(end, end_back)
-    assert back.arrangement is None
+    assert (back.arrangement is None) == (scenario.arrangement is None)
+    if back.arrangement is not None:
+        for field in ("dim", "vertex_subsets", "genericity_margin"):
+            assert getattr(back.arrangement, field) == getattr(scenario.arrangement, field)
+        for field in ("normals", "offsets", "vertices"):
+            assert np.array_equal(getattr(back.arrangement, field), getattr(scenario.arrangement, field))
+    assert np.array_equal(default_starts(back, 500, seed=1), default_starts(scenario, 500, seed=1))
 
 
 def test_scenario_from_missing_metadata_is_a_plain_file():

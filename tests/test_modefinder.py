@@ -9,6 +9,7 @@ import pytest
 from scipy.stats import qmc
 
 from gmmodes.constructions import (
+    Scenario,
     cross_example,
     duistermaat_triangle,
     generic_arrangement,
@@ -43,6 +44,14 @@ def random_two_component(rng, d):
     alpha = rng.uniform(0.15, 0.85)
     means = rng.normal(scale=1.5, size=(2, d))
     return make_mixture([alpha, 1 - alpha], means, covs)
+
+
+def random_pair_scenario(seed, d):
+    """A random_two_component mixture in a Scenario, with the benchmark's
+    oracle_k2 search box: the means widened by 3 sigma."""
+    mix = random_two_component(np.random.default_rng(seed), d)
+    sigma = np.sqrt(max(np.max(np.linalg.eigvalsh(c.cov)) for c in mix.components))
+    return Scenario("pair", mix, None, "none", (mix.means.min(axis=0) - 3 * sigma, mix.means.max(axis=0) + 3 * sigma))
 
 
 def run_multistart(mix, budget=200, seed=0):
@@ -328,8 +337,11 @@ def test_product_ascent_runs_no_eigh(monkeypatch):
         # 20 of the catalog's 2250 starts: means, midpoints and Halton fill
         (product_of_triangles(2, 0.72), lambda scen: default_starts(scen, budget=2250, seed=1)[::112][:20]),
         (product_of_triangles(2, 0.72), _product_long_climbs),
+        # Small batches: a few rows left after the first iterations.
+        *((random_pair_scenario(seed, d), lambda scen: default_starts(scen, budget=80, seed=1))
+          for seed, d in ((11, 1), (12, 2), (13, 3))),
     ],
-    ids=["cross", "triangle", "product", "product-long-climbs"],
+    ids=["cross", "triangle", "product", "product-long-climbs", "pair-d1", "pair-d2", "pair-d3"],
 )
 def test_driver_identical_to_sequential_ascend(scenario, starts):
     mix = scenario.mixture
@@ -373,6 +385,33 @@ def test_truncated_climb_of_a_row_does_not_depend_on_its_batch(monkeypatch):
     assert (len(X), np.sum(~batch.converged)) == (65, 25)  # the cut took effect
     alone = [modefinder._ascend_batch(scen.mixture, x[None, :], opts, scale).x[0] for x in X]
     assert np.max(np.abs(batch.x - alone)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
+    # The k = 2 oracle's batch: ridgeline roots that start polishing and the
+    # two means, climbing. Each row ends as it does alone, whatever else the
+    # batch holds or has dropped.
+    batches, ascend_batch = [], modefinder._ascend_batch
+
+    def recorded(mix, X, opts, scale, polishing=None):
+        batches.append((mix, X, scale, polishing))
+        return ascend_batch(mix, X, opts, scale, polishing)
+
+    monkeypatch.setattr(modefinder, "_ascend_batch", recorded)
+    for seed in range(20):
+        ridgeline_oracle_k2(random_pair_scenario(100 * d + seed, d).mixture)
+    opts = AscentOptions()
+    for mix, X, scale, polishing in batches:
+        assert polishing is not None and np.sum(~polishing) == 2
+        batch = ascend_batch(mix, X, opts, scale, polishing)
+        for i in range(len(X)):
+            alone = ascend_batch(mix, X[i : i + 1], opts, scale, polishing[i : i + 1])
+            assert batch.converged[i] == alone.converged[0]
+            assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
+            kind = batch.critical_point(i, mix, scale).kind_label
+            assert kind == alone.critical_point(0, mix, scale).kind_label
+    assert sum(len(X) for _, X, _, _ in batches) > 2 * len(batches)  # some roots polished
 
 
 @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda scen: scen.name)
