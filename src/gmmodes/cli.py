@@ -134,8 +134,8 @@ def _load_mixture_file(path: str) -> tuple[Mixture, dict | None]:
 
     mix = mixture_from_dict(doc)
     meta = None
-    meta_path = path.replace(".mixture.json", ".meta.json")
-    if meta_path != path and os.path.exists(meta_path):
+    meta_path = path.removesuffix(".mixture.json") + ".meta.json"
+    if path.endswith(".mixture.json") and os.path.exists(meta_path):
         doc = _load_json(meta_path)
         meta = doc.get("metadata") if isinstance(doc, dict) else doc
         if meta is not None and not isinstance(meta, dict):

@@ -99,16 +99,11 @@ class UnimodalityCertificates:
 
 def _search_box(mix: Mixture, extra_points=None):
     """Axis-aligned box holding every mean with a 3-sigma margin."""
-    lo = np.full(mix.dim, np.inf)
-    hi = np.full(mix.dim, -np.inf)
-    for c in mix.components:
-        r = 3.0 * sqrt(float(np.max(np.linalg.eigvalsh(c.cov))))
-        lo = np.minimum(lo, c.mean - r)
-        hi = np.maximum(hi, c.mean + r)
+    r = 3.0 * np.sqrt(np.linalg.eigvalsh([c.cov for c in mix.components])[:, -1:])
+    lo, hi = (mix._means - r).min(axis=0), (mix._means + r).max(axis=0)
     if extra_points is not None:
-        for p in np.atleast_2d(extra_points):
-            lo = np.minimum(lo, p - 0.5)
-            hi = np.maximum(hi, p + 0.5)
+        extra = np.atleast_2d(extra_points)
+        lo, hi = np.minimum(lo, extra.min(axis=0) - 0.5), np.maximum(hi, extra.max(axis=0) + 0.5)
     return lo, hi
 
 
@@ -238,11 +233,7 @@ def duistermaat_triangle(sigma: float) -> Scenario:
 
 def _arrangement_margin(normals, offsets, vertices, subsets):
     """Min over d-subset singular values and vertex/foreign-plane gaps."""
-    d = normals.shape[1]
-    margin = np.inf
-    for subset in subsets:
-        s = np.linalg.svd(normals[list(subset)], compute_uv=False)
-        margin = min(margin, s[-1])
+    margin = np.linalg.svd(normals[list(subsets)], compute_uv=False)[:, -1].min()
     for v, subset in zip(vertices, subsets):
         others = [j for j in range(normals.shape[0]) if j not in subset]
         if others:
@@ -268,9 +259,7 @@ def generic_arrangement(d: int, k: int, seed: int) -> HyperplaneArrangement:
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         offsets = rng.uniform(-1.0, 1.0, size=k)
         try:
-            vertices = np.array(
-                [np.linalg.solve(normals[list(s)], offsets[list(s)]) for s in subsets]
-            )
+            vertices = np.linalg.solve(normals[list(subsets)], offsets[list(subsets)][..., None])[..., 0]
         except np.linalg.LinAlgError:
             continue
         scale = max(1.0, float(np.max(np.abs(vertices))))

@@ -241,24 +241,9 @@ class _Endpoints(NamedTuple):
 
     x: np.ndarray             # (m, d)
     log_density: np.ndarray   # (m,)
-    grad: np.ndarray          # (m, d) grad f / f
+    grad_norm: np.ndarray     # (m,) ||grad f / f||
     hess: np.ndarray          # (m, d, d) Hess f / f
     converged: np.ndarray     # (m,) bool
-
-    def critical_point(self, i: int, mix: Mixture, scale: float, converged_from: int = 1):
-        """Classify row i into a CriticalPoint."""
-        kind, sidx, eigs, degen = _classify(mix, self.x[i], self.hess[i], scale)
-        return CriticalPoint(
-            location=self.x[i].copy(),
-            log_density=float(self.log_density[i]),
-            gradient_norm=float(np.linalg.norm(self.grad[i])),
-            hessian_eigenvalues=eigs,
-            kind=kind,
-            saddle_index=sidx,
-            converged_from=converged_from,
-            converged=bool(self.converged[i]),
-            degenerate_hessian=degen,
-        )
 
 
 def _state(mix: Mixture, x: np.ndarray):
@@ -393,7 +378,7 @@ def _ascend_batch(
     tol, step_cap = opts.gradient_tolerance, 0.5 * max(scale, 1e-300)
     x0 = np.array(np.transpose(X), dtype=float, order="C")
     d, n = x0.shape
-    out = [x0, np.empty(n), np.empty((d, n)), np.empty((d, d, n))]  # x, log f, grad, Hess
+    out = [x0, np.empty(n), np.empty(n), np.empty((d, d, n))]  # x, log f, ||grad f / f||, Hess
     rows = np.arange(n)
     polish = np.zeros(n, dtype=bool) if polishing is None else np.array(polishing, dtype=bool)
     steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
@@ -451,12 +436,12 @@ def _ascend_batch(
         if done.any():
             # Integer indices: each boolean mask index would redo its nonzero.
             fin, keep = done.nonzero()[0], (~done).nonzero()[0]
-            for a, b in zip(out, (cur[0], cur[1], cur[3], cur[4])):
+            for a, b in zip(out, (cur[0], cur[1], g_norm, cur[4])):
                 a[..., rows[fin]] = b.take(fin, axis=-1)
             rows, polish, steps, stalled, eta, g_norm = (a[keep] for a in (rows, polish, steps, stalled, eta, g_norm))
             cur = [a.take(keep, axis=-1) for a in cur]
-    x, logf, grad, hess = out
-    return _Endpoints(x.T, logf, grad.T, hess.transpose(2, 0, 1), _row_norms(grad) <= tol)
+    x, logf, grad_norm, hess = out
+    return _Endpoints(x.T, logf, grad_norm, hess.transpose(2, 0, 1), grad_norm <= tol)
 
 
 _PROBE_FRACTIONS = (1e-4, 1e-3, 1e-2)
@@ -483,25 +468,28 @@ def _probe_extremum(mix: Mixture, x: np.ndarray, directions: np.ndarray, scale: 
     return "degenerate"
 
 
-def _classify(mix: Mixture, x: np.ndarray, hess: np.ndarray, scale: float):
-    """Classify a converged critical point from its Hessian spectrum (Hess f / f)."""
-    eigs = np.sort(np.linalg.eigvalsh(hess))
-    tol = _DEGENERATE_EIGEN_TOLERANCE * np.max(np.abs(eigs)) if eigs.size else 0.0
-    d = eigs.size
-    degenerate = bool(np.any(np.abs(eigs) <= tol))
-    if not degenerate:
-        neg = int(np.sum(eigs < -tol))
-        if neg == d:
-            return "mode", None, eigs, False
-        if neg == 0:
-            return "antimode", None, eigs, False
-        return "saddle", neg, eigs, False
-    # Degenerate spectrum: resolve strict local extrema by direct probing
-    # along coordinate axes and Hessian eigenvectors.
-    _, V = np.linalg.eigh(hess)
-    dirs = np.concatenate([np.eye(d), -np.eye(d), V.T, -V.T], axis=0)
-    kind = _probe_extremum(mix, x, dirs, scale)
-    return kind, None, eigs, True
+def _classified(mix: Mixture, end: _Endpoints, rows, counts, scale: float) -> list[CriticalPoint]:
+    """CriticalPoints of the given rows of end, converged_from the matching
+    counts, classified by one batched eigvalsh of their Hess f / f; only a
+    degenerate spectrum takes its own eigh and neighborhood probe."""
+    eigs = np.linalg.eigvalsh(end.hess[rows])
+    d = eigs.shape[1]
+    tol = _DEGENERATE_EIGEN_TOLERANCE * np.abs(eigs).max(axis=1, keepdims=True)
+    degenerate = (np.abs(eigs) <= tol).any(axis=1)
+    negative = (eigs < -tol).sum(axis=1)
+    points = []
+    for i, e, degen, neg, count in zip(rows, eigs, degenerate, negative, counts):
+        kind = "mode" if neg == d else "antimode" if neg == 0 else "saddle"
+        if degen:
+            # Degenerate spectrum: resolve strict local extrema by direct
+            # probing along coordinate axes and Hessian eigenvectors.
+            V = np.linalg.eigh(end.hess[i])[1]
+            kind = _probe_extremum(mix, end.x[i], np.concatenate([np.eye(d), -np.eye(d), V.T, -V.T]), scale)
+        points.append(CriticalPoint(
+            end.x[i].copy(), float(end.log_density[i]), float(end.grad_norm[i]), e.copy(), kind,
+            int(neg) if kind == "saddle" else None, int(count), bool(end.converged[i]), bool(degen),
+        ))
+    return points
 
 
 def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | None = None) -> CriticalPoint:
@@ -515,12 +503,12 @@ def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | N
     X = _as_starts(mix, np.ravel(x0)[None, :])
     if scale is None:
         scale = _default_scale(mix)
-    return _ascend_batch(mix, X, opts, scale).critical_point(0, mix, scale)
+    return _classified(mix, _ascend_batch(mix, X, opts, scale), [0], [1], scale)[0]
 
 
 def _default_scale(mix: Mixture) -> float:
     spread = np.ptp(mix._means, axis=0) if mix.k > 1 else np.zeros(mix.dim)
-    sigma = np.sqrt(max(np.max(np.linalg.eigvalsh(c.cov)) for c in mix.components))
+    sigma = np.sqrt(np.linalg.eigvalsh([c.cov for c in mix.components]).max())
     return float(np.linalg.norm(spread) + 6.0 * sigma)
 
 
@@ -567,6 +555,18 @@ def _halton(n: int, d: int, seed: int) -> np.ndarray:
     return out
 
 
+def _checked_box(mix: Mixture, box):
+    """A search box (lo, hi) as float arrays: ``DimensionMismatch`` unless
+    both have shape (dim,), ``InvalidParameter`` unless they are finite with
+    lo < hi in every coordinate."""
+    lo, hi = (np.asarray(a, dtype=float) for a in box)
+    if lo.shape != (mix.dim,) or hi.shape != (mix.dim,):
+        raise DimensionMismatch(f"search box shapes {lo.shape}, {hi.shape} do not match dim {mix.dim}")
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+        raise InvalidParameter(f"search box needs finite lo < hi in every coordinate, got {lo}, {hi}")
+    return lo, hi
+
+
 def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
     """Deterministic multistart seeds for a scenario.
 
@@ -583,11 +583,7 @@ def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
         raise InvalidParameter(f"budget {budget} is below the component count {mix.k}")
     if seed < 0:
         raise InvalidParameter(f"seed must be >= 0, got {seed}")
-    lo, hi = (np.asarray(a, dtype=float) for a in scenario.search_box)
-    if lo.shape != (mix.dim,) or hi.shape != (mix.dim,):
-        raise DimensionMismatch(f"search box shapes {lo.shape}, {hi.shape} do not match dim {mix.dim}")
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
-        raise InvalidParameter(f"search box needs finite lo < hi in every coordinate, got {lo}, {hi}")
+    lo, hi = _checked_box(mix, scenario.search_box)
     arr, means = getattr(scenario, "arrangement", None), mix._means
     pts = [means, *([] if arr is None else [arr.vertices])]
     pts += [0.5 * (means[i] + means[i + 1 :]) for i in range(mix.k - 1)]  # pairs (i, j > i), in order
@@ -611,17 +607,16 @@ def _distinct_critical_points(mix: Mixture, pol: _Endpoints, scale: float, radiu
     order = np.flatnonzero(pol.converged)
     order = order[np.lexsort(pol.x[order].T[::-1])]
     pts = pol.x[order]
-    grad_norms = _row_norms(pol.grad.T)
     unassigned = np.ones(order.size, dtype=bool)
-    points = []
+    best, counts = [], []
     while np.any(unassigned):
         head = int(np.argmax(unassigned))
         members = unassigned & (np.linalg.norm(pts - pts[head], axis=1) <= radius)
         cluster = order[members]
-        best = cluster[np.argmin(grad_norms[cluster])]
-        points.append(pol.critical_point(best, mix, scale, converged_from=cluster.size))
+        best.append(cluster[np.argmin(pol.grad_norm[cluster])])
+        counts.append(cluster.size)
         unassigned &= ~members
-    return points
+    return _classified(mix, pol, best, counts, scale)
 
 
 def find_critical_points(
@@ -643,7 +638,7 @@ def find_critical_points(
     m = X.shape[0]
 
     if search_box is not None:
-        lo, hi = (np.asarray(a, dtype=float) for a in search_box)
+        lo, hi = _checked_box(mix, search_box)
     else:
         lo, hi = X.min(axis=0), X.max(axis=0)
     diam = float(np.linalg.norm(hi - lo))

@@ -283,6 +283,21 @@ def test_construct_arrangement_metadata(tmp_path, capsys):
     assert meta["genericity_margin"] >= 0.05
 
 
+def test_modes_reads_the_sidecar_beside_the_file_in_any_directory(tmp_path, capsys):
+    # Only the file name's suffix names the sidecar: a directory whose name
+    # contains ".mixture.json" keeps the arrangement's vertex starts.
+    lines = []
+    for folder in ("plain", "runs.mixture.json.d"):
+        (tmp_path / folder).mkdir()
+        base = str(tmp_path / folder / "arr")
+        run(capsys, "construct", "arrangement", "--d", "3", "--k", "3", "--seed", "1", "--output", base)
+        code, out, _ = run(capsys, "modes", base + ".mixture.json", "--starts", "750", "--seed", "0")
+        assert code == 0
+        lines.append(out.splitlines()[0])
+    assert lines[0].startswith("modes=4 ")
+    assert lines[1] == lines[0]
+
+
 def test_modes_rejects_non_finite_mixture(tmp_path, capsys):
     base = str(tmp_path / "c")
     run(capsys, "construct", "cross", "--output", base)

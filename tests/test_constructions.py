@@ -112,6 +112,7 @@ def test_arrangement_geometry_invariants():
         arr = generic_arrangement(d, k, seed=seed)
         assert np.allclose(np.linalg.norm(arr.normals, axis=1), 1.0, atol=1e-12)
         assert np.max(np.abs(arr.vertices)) <= 1.0 + 1e-12
+        margin = min(np.linalg.svd(arr.normals[list(s)], compute_uv=False)[-1] for s in arr.vertex_subsets)
         for v, subset in zip(arr.vertices, arr.vertex_subsets):
             res = arr.normals[list(subset)] @ v - arr.offsets[list(subset)]
             assert np.max(np.abs(res)) <= 1e-10
@@ -119,6 +120,10 @@ def test_arrangement_geometry_invariants():
             if others:
                 gaps = np.abs(arr.normals[others] @ v - arr.offsets[others])
                 assert np.min(gaps) >= arr.genericity_margin - 1e-12
+                margin = min(margin, np.min(gaps))
+        # Exactly the smallest d-subset singular value, one svd per subset,
+        # or vertex/foreign-plane gap.
+        assert arr.genericity_margin == margin
 
 
 def test_arrangement_seed_determinism():

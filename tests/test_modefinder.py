@@ -19,7 +19,7 @@ from gmmodes.constructions import (
     univariate_pair,
 )
 from gmmodes.errors import DimensionMismatch, InvalidParameter, TooFewSamples
-from gmmodes.mixture import Mixture, affine_transform, make_mixture
+from gmmodes.mixture import Mixture, affine_transform, derivatives, make_mixture
 from gmmodes import modefinder
 from gmmodes.modefinder import (
     AscentOptions,
@@ -409,9 +409,90 @@ def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
             alone = ascend_batch(mix, X[i : i + 1], opts, scale, polishing[i : i + 1])
             assert batch.converged[i] == alone.converged[0]
             assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
-            kind = batch.critical_point(i, mix, scale).kind_label
-            assert kind == alone.critical_point(0, mix, scale).kind_label
+            kind = modefinder._classified(mix, batch, [i], [1], scale)[0].kind_label
+            assert kind == modefinder._classified(mix, alone, [0], [1], scale)[0].kind_label
     assert sum(len(X) for _, X, _, _ in batches) > 2 * len(batches)  # some roots polished
+
+
+def test_climbing_rows_that_drop_end_as_alone(monkeypatch):
+    # Climbing rows whose step lowers log f, next to rows whose steps do
+    # not: only the dropping rows are repaired, and every row ends where it
+    # ends alone, as the same kind.
+    scen = duistermaat_triangle(0.6)
+    mix, X = scen.mixture, np.random.default_rng(2).uniform(-2, 2, size=(20, 2))
+    lo, hi = scen.search_box
+    scale, opts = float(np.linalg.norm(hi - lo)), AscentOptions()
+    calls, state, newton_step = [], modefinder._state, modefinder._newton_step
+
+    def recorded_newton_step(g, h, step_cap, polish):
+        calls.append([polish.any()])  # an iteration: then its state calls' row counts
+        return newton_step(g, h, step_cap, polish)
+
+    def recorded_state(mix, x):
+        if calls:
+            calls[-1].append(x.shape[1])
+        return state(mix, x)
+
+    monkeypatch.setattr(modefinder, "_newton_step", recorded_newton_step)
+    monkeypatch.setattr(modefinder, "_state", recorded_state)
+    batch = modefinder._ascend_batch(mix, X, opts, scale)
+    monkeypatch.undo()
+    kinds = [p.kind_label for p in modefinder._classified(mix, batch, range(len(X)), [1] * len(X), scale)]
+    for i, x in enumerate(X):
+        alone = modefinder._ascend_batch(mix, x[None, :], opts, scale)
+        assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
+        assert kinds[i] == modefinder._classified(mix, alone, [0], [1], scale)[0].kind_label
+    # Some iteration in which every row climbs repaired some rows, not all.
+    assert any(not polishing and min(rows[1:], default=rows[0]) < rows[0] for polishing, *rows in calls)
+
+
+def test_batched_classifier_on_a_mixed_batch(monkeypatch):
+    # The oracle's modes and saddles on the cross, and a hand-built row whose
+    # Hessian has a zero eigenvalue, classified as one batch: each kind
+    # follows the signs of the row's own spectrum, and only the singular row
+    # is probed, once.
+    mix = cross_example().mixture
+    oracle = ridgeline_oracle_k2(mix)
+    assert {p.kind for p in oracle} == {"mode", "saddle"}
+    x = np.array([p.location for p in oracle] + [oracle[0].location])
+    hess = derivatives(mix, x).hessian_over_density.copy()
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    hess[-1] = rot @ np.diag([-1.0, 0.0]) @ rot.T
+    n = len(x)
+    end = modefinder._Endpoints(x, mix.log_density(x), np.arange(n) * 1e-12, hess, np.arange(n) != 1)
+    probes, probe = [], modefinder._probe_extremum
+
+    def counted(*args):
+        probes.append(probe(*args))
+        return probes[-1]
+
+    monkeypatch.setattr(modefinder, "_probe_extremum", counted)
+    points = modefinder._classified(mix, end, np.arange(n), np.arange(1, n + 1), 5.0)
+    assert probes == ["mode"]
+    for i, cp in enumerate(points):
+        eigs = np.linalg.eigvalsh(hess[i])
+        assert np.array_equal(cp.hessian_eigenvalues, eigs)
+        assert cp.location.flags.owndata and cp.hessian_eigenvalues.flags.owndata
+        assert np.array_equal(cp.location, x[i]) and cp.log_density == end.log_density[i]
+        assert (cp.gradient_norm, cp.converged_from, cp.converged) == (i * 1e-12, i + 1, i != 1)
+        assert cp.degenerate_hessian == (i == n - 1)
+        if i < n - 1:
+            neg = int(np.sum(eigs < 0))
+            expected = {2: "mode", 0: "antimode"}.get(neg, f"saddle({neg})")
+            assert cp.kind_label == expected == oracle[i].kind_label
+    assert points[-1].kind == "mode"
+
+
+def test_find_critical_points_rejects_bad_search_boxes():
+    scen = cross_example()
+    lo, hi = scen.search_box
+    starts = default_starts(scen, budget=50)
+    with pytest.raises(DimensionMismatch):
+        find_critical_points(scen.mixture, starts, search_box=(np.zeros(3), np.ones(3)))
+    for box in [(np.array([np.nan, lo[1]]), hi), (hi, lo)]:
+        with pytest.raises(InvalidParameter):
+            find_critical_points(scen.mixture, starts, search_box=box)
 
 
 @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda scen: scen.name)
