@@ -45,6 +45,7 @@ from .errors import (
 from .mixture import Mixture, mixture_to_dict
 from .modefinder import (
     AscentOptions,
+    _checked_box,
     _ridgeline_k2,
     default_starts,
     find_critical_points,
@@ -206,8 +207,8 @@ def cmd_scan(args) -> int:
         raise UnsupportedDimension(f"grid scan supports d in {{1, 2}}, got d={mix.dim}")
     if not 1 <= args.res <= 2000:
         raise InvalidParameter(f"resolution {args.res} is outside 1..2000 per axis")
-    scen = scenario_from_metadata(mix, meta)
-    lo, hi = (_corner(text, mix.dim, box) for text, box in zip((args.lo, args.hi), scen.search_box))
+    box = _checked_box(mix, scenario_from_metadata(mix, meta).search_box)
+    lo, hi = (_corner(text, mix.dim, default) for text, default in zip((args.lo, args.hi), box))
     axes = [np.linspace(lo[i], hi[i], args.res) for i in range(mix.dim)]
     out = io.StringIO()
     writer = csv.writer(out)

@@ -2,21 +2,28 @@
 
 Every start climbs, then polishes, in one batched loop over the (m, d)
 derivative kernel :func:`gmmodes.mixture.derivatives`. Climbing takes the
-Newton step where the Hessian is negative definite, else the mean-shift
-step x' = x + A^{-1} grad f / f = A^{-1} sum_i r_i P_i mu_i with
-A = sum_i r_i P_i (r_i the responsibilities, P_i the precisions), whose
-fixed points are exactly the critical points. Near flat modes that step
-crawls at a linear rate, so it is adaptively overrelaxed (Salakhutdinov &
-Roweis, ICML 2003): each start moves by eta A^{-1} grad f / f, and eta
-doubles after every mean-shift step accepted without halving, up to 64,
-and drops back to 1 when an overrelaxed step lowers log f, which is then
-retaken as the plain step. Polishing is damped Newton,
-which also yields the Hessian used for classification. Symmetric
-elimination of -Hess f / f, row by row with the pivots of its Cholesky
-factorization, decides concavity and gives the Newton step; only saddles
-and near-singular Hessians go through eigh, whose eigenvalue floor keeps
-the step finite. The multistart driver, :func:`ascend` (a batch of one)
-and the k = 2 ridgeline oracle all run through that loop.
+Newton step where the Hessian is negative definite, else a mean-shift
+step. The plain one, x' = x + A^{-1} grad f / f = A^{-1} sum_i r_i P_i mu_i
+with A = sum_i r_i P_i (r_i the responsibilities, P_i the precisions), is
+the EM step of the mixture (Carreira-Perpinan, IEEE TPAMI 2007), and its
+fixed points are exactly the critical points. Near flat modes and saddles
+it crawls at a linear rate, so it is adaptively overrelaxed (Salakhutdinov
+& Roweis, ICML 2003) where the bound A under-steps: a start moves by the s
+that solves (A / eta - (1 - 1 / eta) H) s = grad f / f, H = Hess f / f.
+As H = sum_i r_i g_i g_i^T - A (g_i = P_i (mu_i - x)), that is
+(A - (1 - 1 / eta) sum_i r_i g_i g_i^T) s = grad f / f: the plain step at
+eta = 1 and the Newton step as eta grows, the plain step still along stiff
+directions (H near -A, where it already is Newton's), longer along flat
+and escaping ones. eta doubles after every mean-shift step accepted
+without halving, up to 64, and drops back to 1, the plain step taken
+instead, when an overrelaxed step does not point uphill or lowers log f.
+Polishing is damped Newton, which also yields the Hessian used for
+classification. Symmetric elimination of -Hess f / f, row by row with the
+pivots of its Cholesky factorization, decides concavity and gives the
+Newton step; only saddles and near-singular Hessians go through eigh,
+whose eigenvalue floor keeps the step finite. The multistart driver,
+:func:`ascend` (a batch of one) and the k = 2 ridgeline oracle all run
+through that loop.
 
 The loop keeps its rows on the last axis, as the kernel computes them:
 points and gradients are (d, m), Hessians (d, d, m), responsibilities
@@ -202,12 +209,15 @@ def mixture_digest(mix: Mixture) -> str:
 # The ascent: climb, then polish, every start in one batched loop
 # ----------------------------------------------------------------------
 
-def _mean_shift_step(mix: Mixture, resp: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Mean-shift steps A^{-1} grad f / f, A = sum_i r_i P_i, for the rows of
-    g = grad f / f (d, m) with responsibilities resp (k, m); shape (d, m)."""
+def _mean_shift_step(mix: Mixture, resp: np.ndarray, g: np.ndarray, h: np.ndarray, eta) -> np.ndarray:
+    """Overrelaxed mean-shift steps s solving (A / eta - (1 - 1 / eta) H) s = g,
+    A = sum_i r_i P_i, for the rows of g = grad f / f (d, m) and h = H =
+    Hess f / f (d, d, m) with responsibilities resp (k, m) and factors eta;
+    shape (d, m). At eta = 1 it is the plain step A^{-1} g, bit for bit."""
     d, m = g.shape
     A = (mix._precisions.reshape(mix.k, d * d).T @ resp).reshape(d, d, m)
-    return np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T
+    M = A / eta - (1.0 - 1.0 / eta) * h
+    return np.linalg.solve(M.transpose(2, 0, 1), g.T[..., None])[..., 0].T
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -231,8 +241,8 @@ def _as_starts(mix: Mixture, starts) -> np.ndarray:
 def fixed_point_step(mix: Mixture, x) -> np.ndarray:
     """One mean-shift step from x; fixed points are critical points."""
     X = _as_starts(mix, np.ravel(x)[None, :])
-    _, resp, g, _ = derivatives(mix, X)
-    return X[0] + _mean_shift_step(mix, resp, g.T)[:, 0]
+    _, resp, g, h = derivatives(mix, X)
+    return X[0] + _mean_shift_step(mix, resp, g.T, h.transpose(1, 2, 0), 1.0)[:, 0]
 
 
 class _Endpoints(NamedTuple):
@@ -339,9 +349,11 @@ def _ascend_batch(
     rule is per row, so an endpoint does not depend on the batch:
 
     - Climbing: the Newton step where Hess f / f is negative definite,
-      else the mean-shift step x + eta A^{-1} grad f / f, A = sum_i r_i P_i,
-      overrelaxed by the row's factor eta. A Newton step that lowers log f
-      by more than the monotone slack falls back to the mean-shift step
+      else the mean-shift step s of :func:`_mean_shift_step` at the row's
+      overrelaxation factor eta. An overrelaxed s that is not an ascent
+      direction, s . grad f / f <= 0, resets eta to 1 and is replaced by
+      the plain step (ascent rule). A Newton step that lowers log f by more than the
+      monotone slack falls back to the mean-shift step at the row's eta
       (fall-back rule). A mean-shift step with eta > 1 that does so resets
       eta to 1 and is retaken as the plain step (reset rule); a plain step
       that does so is halved toward its origin while log f drops by more
@@ -394,8 +406,13 @@ def _ascend_batch(
         newton = polish | concave
         shift = ~newton
         if shift.any():
-            step[:, shift] = _mean_shift_step(mix, resp[:, shift], g[:, shift])
-        x_new = x + np.where(newton, step, eta * step)
+            step[:, shift] = _mean_shift_step(mix, resp[:, shift], g[:, shift], h[..., shift], eta[shift])
+            # Ascent rule: an overrelaxed step that does not point uphill.
+            back = shift & (eta > 1.0) & ~((step * g).sum(axis=0) > 0.0)
+            if back.any():
+                eta[back] = 1.0
+                step[:, back] = _mean_shift_step(mix, resp[:, back], g[:, back], h[..., back], 1.0)
+        x_new = x + step
         new = _state(mix, x_new)
         halvings = np.zeros(rows.size, dtype=int)
         while True:
@@ -419,11 +436,10 @@ def _ascend_batch(
             halve = redo & ~retake
             np.copyto(x_new, 0.5 * (x_new + x), where=halve)
             halvings += halve
-            fall = retake & newton
-            if fall.any():
-                step[:, fall] = _mean_shift_step(mix, resp[:, fall], g[:, fall])
             eta[retake & ~newton] = 1.0
-            x_new[:, retake] = x[:, retake] + eta[retake] * step[:, retake]
+            if retake.any():
+                step[:, retake] = _mean_shift_step(mix, resp[:, retake], g[:, retake], h[..., retake], eta[retake])
+                x_new[:, retake] = x[:, retake] + step[:, retake]
             newton[retake] = False
             for a, b in zip(new, _state(mix, x_new[:, redo])):
                 a[..., redo] = b

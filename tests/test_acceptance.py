@@ -257,6 +257,23 @@ def test_criterion_10_structural_invariants():
     verdict(10, "affine invariance, hull membership, ridgeline residuals", ok)
 
 
+@pytest.mark.parametrize("c", [1e2, 1e3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_product_modes_survive_ill_conditioned_maps(c, seed):
+    # Criterion 10's maps are well conditioned. Here the product of triangles
+    # and its default starts go through M = Q diag(1, c^(1/3), c^(2/3), c)
+    # with a random rotation Q, a covariance condition of about c^2. An
+    # affine map carries critical points to critical points, so all 16 modes
+    # stay and every start converges. From c = 1e4 on, the degenerate test,
+    # relative to the largest Hessian eigenvalue, flips single modes.
+    scen = product_of_triangles(2, 0.72)
+    starts = default_starts(scen, budget=2250, seed=0)
+    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+    M = Q @ np.diag(c ** (np.arange(4) / 3))
+    rep = find_critical_points(affine_transform(scen.mixture, M, np.zeros(4)), starts @ M.T)
+    assert (rep.mode_count, rep.starts_converged) == (16, 2250)
+
+
 def hull_distance(points, x):
     k = len(points)
     best = np.inf

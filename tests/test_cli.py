@@ -362,6 +362,12 @@ def _with_arrangement(meta, vertices):
                             vertices=vertices)
 
 
+def _edit_search_box(meta, edit):
+    """Replace a sidecar's search box corners (lo, hi) by edit(lo, hi)."""
+    box = meta["metadata"]["search_box"]
+    box["lo"], box["hi"] = edit(box["lo"], box["hi"])
+
+
 # Input from outside the program: each case must end in one `error:` line and
 # exit 2, not a traceback. MIXTURE stands for a constructed cross mixture file,
 # first rewritten by mixture_text and its sidecar by meta_edit.
@@ -383,6 +389,10 @@ def _with_arrangement(meta, vertices):
                      id="meta-vertices-not-rows"),
         pytest.param(None, lambda meta: _with_arrangement(meta, [[0.0, "x"]]), ["modes", "MIXTURE"],
                      id="meta-vertices-not-numbers"),
+        pytest.param(None, lambda meta: _edit_search_box(meta, lambda lo, hi: ([float("nan"), *lo[1:]], hi)),
+                     ["scan", "MIXTURE", "--res", "3"], id="scan-meta-box-not-finite"),
+        pytest.param(None, lambda meta: _edit_search_box(meta, lambda lo, hi: (hi, lo)),
+                     ["scan", "MIXTURE", "--res", "3"], id="scan-meta-box-reversed"),
         pytest.param(None, None, ["scan", "MIXTURE", "--lo", "a,b"], id="scan-lo-not-numbers"),
         pytest.param(None, None, ["scan", "MIXTURE", "--lo", "0"], id="scan-lo-wrong-dim"),
         pytest.param(None, None, ["scan", "MIXTURE", "--res", "-5"], id="scan-negative-res"),

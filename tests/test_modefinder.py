@@ -6,6 +6,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import qmc
 
 from gmmodes.constructions import (
@@ -163,11 +164,15 @@ def test_ascent_monotone_log_density():
 
 
 # The 20 starts of product_of_triangles(2, 0.72) (default_starts, budget
-# 2250, seed 0) that climb longest when each ascends alone, 28 to 42
-# iterations: flat regions near the near-degenerate modes, where the
-# mean-shift steps run overrelaxed.
+# 2250, seed 0) that climbed longest alone, 28 to 42 climbs, when the
+# climbing step was the mean-shift step times eta: flat regions near the
+# near-degenerate modes, and rows stalled beside mode x saddle points.
 _PRODUCT_LONG_CLIMBS = [182, 334, 563, 697, 2237, 1651, 2075, 63, 1589, 1677,
                         1496, 296, 566, 995, 2020, 1168, 1040, 1265, 1774, 1951]
+# The 20 that climb longest alone with the curvature-aware step of
+# _mean_shift_step, 12 to 28 climbs (ties broken by start index).
+_PRODUCT_LONG_CURVED_CLIMBS = [563, 2075, 995, 468, 614, 668, 1978, 275, 393, 448,
+                               518, 1023, 1908, 743, 928, 998, 1040, 1662, 190, 293]
 
 
 def _product_long_climbs(scen):
@@ -205,7 +210,8 @@ def _climb_trails(monkeypatch, mix, starts, scale):
     "scenario, starts",
     [
         (duistermaat_triangle(0.6), lambda scen: np.random.default_rng(2).uniform(-2, 2, size=(20, 2))),
-        (product_of_triangles(2, 0.72), _product_long_climbs),
+        (product_of_triangles(2, 0.72), lambda scen: default_starts(scen, budget=2250, seed=0)[
+            np.union1d(_PRODUCT_LONG_CLIMBS, _PRODUCT_LONG_CURVED_CLIMBS)]),
     ],
     ids=["triangle", "product"],
 )
@@ -231,7 +237,8 @@ def test_overrelaxed_climb_is_monotone(monkeypatch, scenario, starts):
 @pytest.mark.parametrize("seed, plain_calls", [(0, 289), (1, 353)])
 def test_product_ascent_work_bound(monkeypatch, seed, plain_calls):
     # Overrelaxed climbing needs at most 200 derivative calls where plain
-    # mean-shift climbing needs 289 (seed 0) and 353 (seed 1).
+    # mean-shift climbing needs 289 (seed 0) and 353 (seed 1), and at most 60
+    # where the mean-shift step times eta needed 109 and 170.
     scen = product_of_triangles(2, 0.72)
     starts = default_starts(scen, budget=2250, seed=seed)
     calls, derivatives = [], modefinder.derivatives
@@ -244,6 +251,100 @@ def test_product_ascent_work_bound(monkeypatch, seed, plain_calls):
     rep = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
     assert rep.mode_count == scen.expected_modes and rep.starts_converged == len(starts)
     assert 0 < len(calls) <= 200 < plain_calls
+    assert len(calls) <= 60
+
+
+# ----------------------------------------------------------------------
+# Climbing step: (A / eta - (1 - 1 / eta) Hess f / f) s = grad f / f
+# ----------------------------------------------------------------------
+
+def _step_inputs(mix, x):
+    """Responsibilities, grad f / f and Hess f / f at the point x, rows last
+    as the ascent keeps them (a batch of one), and A = sum_i r_i P_i there."""
+    _, resp, g, h = derivatives(mix, x[None, :])
+    return resp, g.T, h.transpose(1, 2, 0), np.einsum("km,kab->ab", resp, mix._precisions)
+
+
+def _plain_climb(scen, start, steps):
+    """Start `start` of the scenario's 2250 seed-0 default starts after
+    `steps` plain mean-shift steps."""
+    x = default_starts(scen, budget=2250, seed=0)[start]
+    for _ in range(steps):
+        x = fixed_point_step(scen.mixture, x)
+    return x
+
+
+def test_climbing_step_at_eta_1_is_the_plain_mean_shift_step():
+    # At eta = 1 the climbing step is A^{-1} grad f / f bit for bit: over a
+    # batch, against the solve below, and row by row, against fixed_point_step.
+    scen = product_of_triangles(2, 0.72)
+    mix, X = scen.mixture, default_starts(scen, budget=2250, seed=0)[::25]
+    _, resp, g, h = derivatives(mix, X)
+    g, h = g.T, h.transpose(1, 2, 0)
+    d, m = g.shape
+    A = (mix._precisions.reshape(mix.k, d * d).T @ resp).reshape(d, d, m)
+    plain = np.linalg.solve(A.transpose(2, 0, 1), g.T[..., None])[..., 0].T
+    assert np.array_equal(modefinder._mean_shift_step(mix, resp, g, h, np.ones(m)), plain)
+    for x in X[:10]:
+        resp, g, h, _ = _step_inputs(mix, x)
+        step = modefinder._mean_shift_step(mix, resp, g, h, np.ones(1))
+        assert np.array_equal(x + step[:, 0], fixed_point_step(mix, x))
+
+
+def test_climbing_step_tends_to_the_newton_step_on_a_concave_row():
+    # 60 plain steps take product start 63 where Hess f / f is negative
+    # definite. As eta doubles, the climbing step comes closer to the Newton
+    # step every time, in the A norm.
+    scen = product_of_triangles(2, 0.72)
+    resp, g, h, A = _step_inputs(scen.mixture, _plain_climb(scen, 63, 60))
+    newton, concave = modefinder._newton_step(g, h, np.inf, np.zeros(1, dtype=bool))
+    assert concave[0]
+    errors = []
+    for eta in 2.0 ** np.arange(31):
+        e = (modefinder._mean_shift_step(scen.mixture, resp, g, h, np.array([eta])) - newton)[:, 0]
+        errors.append(np.sqrt(e @ A @ e))
+    assert np.all(np.diff(errors) < 0) and errors[-1] <= 1e-7 * errors[0]
+
+
+def test_climbing_step_beside_a_saddle_lengthens_the_escape():
+    # 20 plain steps take product start 63 next to a mode x saddle point,
+    # where Hess f / f = H has one positive eigenvalue. Along a generalized
+    # eigenvector v of (-H, A), -H v = lam A v, the climbing step is the
+    # plain step times 1 / (lam + (1 - lam) / eta). So the escaping direction
+    # (lam < 0) grows faster than eta, the stiffest one stays between the
+    # plain and the Newton step, and the step ascends until the escape turns
+    # round, past eta = (1 - lam) / -lam, about 17 here.
+    scen = product_of_triangles(2, 0.72)
+    resp, g, h, A = _step_inputs(scen.mixture, _plain_climb(scen, 63, 20))
+    lam, V = scipy.linalg.eigh(-h[..., 0], A)
+    assert lam[0] < 0 < lam[1] and lam[-1] > 0.5
+
+    def step(eta):
+        s = modefinder._mean_shift_step(scen.mixture, resp, g, h, np.array([eta]))[:, 0]
+        return s @ g[:, 0], V.T @ A @ s  # the ascent s . grad f / f, and the components
+
+    plain, escape = step(1.0)[1], 1.0
+    for eta in (2.0, 4.0, 8.0, 16.0):
+        ascent, components = step(eta)
+        ratio = components / plain
+        assert ascent > 0 and ratio[0] > max(eta, escape)
+        assert 1.0 <= ratio[-1] <= 1.0 / lam[-1]
+        escape = ratio[0]
+    # Past the turn the step descends: the ascent takes the plain step there.
+    assert step(32.0)[0] < 0
+
+
+def test_accepted_climbing_steps_ascend(monkeypatch):
+    # Every accepted climbing step x -> x' points uphill, (x' - x) . grad f / f
+    # > 0: a step past its escape's turn is replaced by the plain step, as
+    # starts 563 and 2075 need on their way.
+    scen = product_of_triangles(2, 0.72)
+    lo, hi = scen.search_box
+    starts = default_starts(scen, budget=2250, seed=0)[np.union1d(_PRODUCT_LONG_CLIMBS, _PRODUCT_LONG_CURVED_CLIMBS)]
+    for trail in _climb_trails(monkeypatch, scen.mixture, starts, float(np.linalg.norm(hi - lo))):
+        for (x, _, climbing, _), (x_next, *_) in zip(trail, trail[1:]):
+            if climbing:
+                assert (x_next - x) @ derivatives(scen.mixture, x[None, :]).grad_over_density[0] > 0
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +483,7 @@ def test_truncated_climb_of_a_row_does_not_depend_on_its_batch(monkeypatch):
     monkeypatch.setattr(modefinder, "_MAX_CLIMBS", 8)
     monkeypatch.setattr(modefinder, "_MAX_NEWTON_STEPS", 1)
     batch = modefinder._ascend_batch(scen.mixture, X, opts, scale)
-    assert (len(X), np.sum(~batch.converged)) == (65, 25)  # the cut took effect
+    assert (len(X), np.sum(~batch.converged)) == (65, 20)  # the cut took effect
     alone = [modefinder._ascend_batch(scen.mixture, x[None, :], opts, scale).x[0] for x in X]
     assert np.max(np.abs(batch.x - alone)) <= 1e-10 * scale
 
