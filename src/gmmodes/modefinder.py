@@ -3,34 +3,24 @@
 Every start climbs, then polishes, in one batched loop over the (m, d)
 derivative kernel :func:`gmmodes.mixture.derivatives`. Climbing takes the
 Newton step where the Hessian is negative definite, else a mean-shift
-step. The plain one, x' = x + A^{-1} grad f / f = A^{-1} sum_i r_i P_i mu_i
-with A = sum_i r_i P_i (r_i the responsibilities, P_i the precisions), is
-the EM step of the mixture (Carreira-Perpinan, IEEE TPAMI 2007), and its
-fixed points are exactly the critical points. Near flat modes and saddles
-it crawls at a linear rate, so it is adaptively overrelaxed (Salakhutdinov
-& Roweis, ICML 2003) where the bound A under-steps: a start moves by the s
-that solves (A / eta - (1 - 1 / eta) H) s = grad f / f, H = Hess f / f.
-As H = sum_i r_i g_i g_i^T - A (g_i = P_i (mu_i - x)), that is
-(A - (1 - 1 / eta) sum_i r_i g_i g_i^T) s = grad f / f: the plain step at
-eta = 1 and the Newton step as eta grows, the plain step still along stiff
-directions (H near -A, where it already is Newton's), longer along flat
-and escaping ones. eta doubles after every mean-shift step accepted
-without halving, up to 64, and drops back to 1, the plain step taken
-instead, when an overrelaxed step does not point uphill or lowers log f.
-Polishing is damped Newton, which also yields the Hessian used for
-classification. Symmetric elimination of -Hess f / f, row by row with the
-pivots of its Cholesky factorization, decides concavity and gives the
-Newton step; only saddles and near-singular Hessians go through eigh,
-whose eigenvalue floor keeps the step finite. The multistart driver,
-:func:`ascend` (a batch of one) and the k = 2 ridgeline oracle all run
-through that loop.
+step. The plain one, x' = x + A^{-1} grad f / f with A = sum_i r_i P_i
+(r_i the responsibilities, P_i the precisions), is the EM step of the
+mixture (Carreira-Perpinan, IEEE TPAMI 2007), whose fixed points are
+exactly the critical points. Near flat modes and saddles it crawls, so it
+is adaptively overrelaxed (Salakhutdinov & Roweis, ICML 2003): a start
+moves by the s solving (A / eta - (1 - 1 / eta) H) s = grad f / f,
+H = Hess f / f, which is the plain step at eta = 1 and along stiff
+directions, and tends to the Newton step along flat and escaping ones as
+eta grows. Polishing is damped Newton, which also yields the Hessian used
+for classification; symmetric elimination of -Hess f / f decides
+concavity and gives the Newton step, and only saddles and near-singular
+Hessians go through eigh. The multistart driver, :func:`ascend` (a batch
+of one) and the k = 2 ridgeline oracle all run through that loop.
 
 The loop keeps its rows on the last axis, as the kernel computes them:
 points and gradients are (d, m), Hessians (d, d, m), responsibilities
-(k, m). With d <= 4 and up to thousands of starts, each elementwise step
-of the elimination and of the step rules then runs over m contiguous
-values instead of d. The (m, ...) arrays of the public API are transposed
-views of these.
+(k, m), so each elementwise step runs over m contiguous values instead of
+d <= 4. The (m, ...) arrays of the public API are transposed views.
 
 All convergence tests are scale-free (||grad f|| / f) because density
 magnitudes across the constructions here differ by hundreds of orders
@@ -39,11 +29,13 @@ of magnitude.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -163,12 +155,7 @@ class ModeReport:
             "starts_used": self.starts_used,
             "starts_converged": self.starts_converged,
             "dedup_radius": self.dedup_radius,
-            "bound_check": {
-                "lower": self.bound_check.lower,
-                "conjecture": self.bound_check.conjecture,
-                "upper": self.bound_check.upper,
-                "mode_count_within_upper": self.bound_check.mode_count_within_upper,
-            },
+            "bound_check": asdict(self.bound_check),
             "critical_points": [
                 {
                     "location": cp.location.tolist(),
@@ -189,13 +176,8 @@ class ModeReport:
         cols = [f"x_{i + 1}" for i in range(d)]
         out.write(",".join(cols + ["log_density", "kind", "min_eigenvalue", "converged_from"]) + "\n")
         for cp in self.critical_points:
-            row = [repr(float(v)) for v in cp.location]
-            row += [
-                repr(cp.log_density),
-                cp.kind_label,
-                repr(float(cp.hessian_eigenvalues[0])),
-                str(cp.converged_from),
-            ]
+            row = [repr(float(v)) for v in cp.location] + [repr(cp.log_density), cp.kind_label]
+            row += [repr(float(cp.hessian_eigenvalues[0])), str(cp.converged_from)]
             out.write(",".join(row) + "\n")
         return out.getvalue()
 
@@ -213,11 +195,19 @@ def _mean_shift_step(mix: Mixture, resp: np.ndarray, g: np.ndarray, h: np.ndarra
     """Overrelaxed mean-shift steps s solving (A / eta - (1 - 1 / eta) H) s = g,
     A = sum_i r_i P_i, for the rows of g = grad f / f (d, m) and h = H =
     Hess f / f (d, d, m) with responsibilities resp (k, m) and factors eta;
-    shape (d, m). At eta = 1 it is the plain step A^{-1} g, bit for bit."""
+    shape (d, m). At eta = 1 it is the plain step A^{-1} g, bit for bit. A
+    row whose system is singular takes no step."""
     d, m = g.shape
     A = (mix._precisions.reshape(mix.k, d * d).T @ resp).reshape(d, d, m)
-    M = A / eta - (1.0 - 1.0 / eta) * h
-    return np.linalg.solve(M.transpose(2, 0, 1), g.T[..., None])[..., 0].T
+    M, rhs = (A / eta - (1.0 - 1.0 / eta) * h).transpose(2, 0, 1), g.T[..., None]
+    try:
+        return np.linalg.solve(M, rhs)[..., 0].T
+    except np.linalg.LinAlgError:
+        step = np.zeros((d, m))
+        for i in range(m):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                step[:, i] = np.linalg.solve(M[i], rhs[i])[:, 0]
+        return step
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -274,21 +264,16 @@ _SWEEP_CONDITION = 1e10
 
 def _sweep_newton_rows(g: np.ndarray, h: np.ndarray):
     """Newton steps -H^{-1} g by symmetric elimination of A = -H, vectorized
-    over the rows of g (d, m) and h = H (d, d, m), rows last.
+    over the rows of g (d, m) and h = H (d, d, m), rows last. Sweeping the
+    Cholesky pivots of A out of [[A, g], [g^T, 0]] one at a time (the sweep
+    operator, no square roots) leaves A^{-1} g, the step, in the last column.
 
-    The pivots are those of the Cholesky factorization A = L L^T (the
-    squares of diag L), taken without square roots. Sweeping them out of
-    the bordered matrix [[A, g], [g^T, 0]] one at a time (the sweep
-    operator) leaves -A^{-1} in its leading block and A^{-1} g, the Newton
-    step, in its last column.
-
-    Returns (step (d, m), definite, indefinite). A row is ``definite`` when
-    every pivot exceeds _PIVOT_TOLERANCE times its largest absolute entry
-    and trace(A) trace(A^{-1}), an upper bound on its condition number, is
-    below _SWEEP_CONDITION; only definite rows get a nonzero step. A row is
-    ``indefinite`` when a pivot falls below minus that margin while every
-    earlier pivot passed. Rows that are neither sit in the near-singular
-    band.
+    Returns (step (d, m), definite, indefinite). A row is ``definite``, and
+    only then gets a nonzero step, when every pivot exceeds
+    _PIVOT_TOLERANCE times its largest absolute entry and trace(A)
+    trace(A^{-1}), a bound on its condition number, is below
+    _SWEEP_CONDITION; ``indefinite`` when a pivot falls below minus that
+    margin while every earlier pivot passed. Other rows are near-singular.
     """
     d, m = g.shape
     S = np.zeros((d + 1, d + 1, m))
@@ -314,16 +299,12 @@ def _sweep_newton_rows(g: np.ndarray, h: np.ndarray):
 
 def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float, polish: np.ndarray):
     """Newton steps -H^{-1} g (d, m) capped at step_cap, and whether each H is
-    negative definite, for the rows of g (d, m) and h = H (d, d, m).
-
-    Symmetric elimination of -H (:func:`_sweep_newton_rows`) decides
-    concavity. Rows it shows clearly negative definite take its step.
-    Climbing rows (``polish`` False) it shows indefinite are not concave
-    and get no step: they take the mean-shift step instead. Every other
-    row, a polishing row that is not negative definite (a saddle) or a row
-    in the near-singular band, goes through eigh, and only its solve is
-    regularized: tiny eigenvalues are clamped away from zero keeping their
-    sign, so saddles are still repelled."""
+    negative definite, for the rows of g (d, m) and h = H (d, d, m). Rows
+    :func:`_sweep_newton_rows` shows clearly negative definite take its
+    step; climbing rows (``polish`` False) it shows indefinite get none and
+    take the mean-shift step. The rest, saddles while polishing and
+    near-singular rows, go through eigh with tiny eigenvalues clamped away
+    from zero keeping their sign, so saddles are still repelled."""
     step, concave, indefinite = _sweep_newton_rows(g, h)
     rest = ~concave & (polish | ~indefinite)
     if rest.any():
@@ -352,12 +333,12 @@ def _ascend_batch(
       else the mean-shift step s of :func:`_mean_shift_step` at the row's
       overrelaxation factor eta. An overrelaxed s that is not an ascent
       direction, s . grad f / f <= 0, resets eta to 1 and is replaced by
-      the plain step (ascent rule). A Newton step that lowers log f by more than the
-      monotone slack falls back to the mean-shift step at the row's eta
-      (fall-back rule). A mean-shift step with eta > 1 that does so resets
-      eta to 1 and is retaken as the plain step (reset rule); a plain step
-      that does so is halved toward its origin while log f drops by more
-      than the slack, at most 60 times.
+      the plain step (ascent rule). A Newton step that lowers log f by more
+      than the monotone slack falls back to the mean-shift step at the
+      row's eta (fall-back rule). A mean-shift step with eta > 1 that does
+      so resets eta to 1 and is retaken as the plain step (reset rule); a
+      plain step that does so is halved toward its origin while log f
+      drops by more than the slack, at most 60 times.
     - Overrelaxation: eta starts at 1 and doubles, up to _OVERRELAX_CAP,
       after each mean-shift step accepted without halving. It is per-row
       state, compacted with the rows.
@@ -371,21 +352,10 @@ def _ascend_batch(
       rather than scattering across the plateau. A row already within
       gradient_tolerance whose step is rejected keeps its point and stops
       (settle rule): at the noise floor halving cannot help.
-    - Newton steps come from symmetric elimination of -Hess f / f (the
-      Cholesky pivots) on rows where Hess f / f is clearly negative
-      definite and well conditioned. Climbing rows where it is clearly
-      indefinite need none. Every other row (saddles while polishing,
-      near-singular Hessians) goes through eigh, which floors tiny
-      eigenvalues keeping their sign. Steps are capped at scale / 2
-      (:func:`_newton_step`).
+    - Newton steps come from :func:`_newton_step`, capped at scale / 2.
 
     A row has converged when ||grad f / f|| <= gradient_tolerance at its
-    endpoint. The working set is compacted only when rows finish.
-
-    The loop state keeps the row axis last, as the kernel works: points and
-    gradients (d, m), Hessians (d, d, m), responsibilities (k, m). The
-    elimination and the step rules then act on m contiguous values per
-    entry, not on d <= 4.
+    endpoint. The working set, rows last, is compacted only when rows finish.
     """
     tol, step_cap = opts.gradient_tolerance, 0.5 * max(scale, 1e-300)
     x0 = np.array(np.transpose(X), dtype=float, order="C")
@@ -541,8 +511,9 @@ def _first_primes(d: int) -> list[int]:
     return primes
 
 
+@functools.lru_cache(maxsize=16)
 def _halton(n: int, d: int, seed: int) -> np.ndarray:
-    """n points of Owen's randomized Halton sequence in [0, 1)^d.
+    """n points of Owen's randomized Halton sequence in [0, 1)^d (memoized, read-only).
 
     Bit-identical to ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed)
     .random(n)`` (A. B. Owen, "A randomized Halton algorithm in R", 2017):
@@ -568,6 +539,7 @@ def _halton(n: int, d: int, seed: int) -> np.ndarray:
                 acc += float(perm[0]) * inv
             inv /= base
         out[:, col] = acc
+    out.flags.writeable = False
     return out
 
 
@@ -709,37 +681,73 @@ def _ridgeline_solve(precisions: np.ndarray, means: np.ndarray, alpha: np.ndarra
     return np.linalg.solve(P, rhs)
 
 
-def _ridgeline_k2(mix: Mixture):
-    """Closed-form ridgeline of a 2-component mixture: a function t -> x*(t)
-    for alpha = (t, 1 - t), vectorized over t.
+class _RidgelineHalf(NamedTuple):
+    """One half of a 2-component ridgeline (:func:`_ridgeline_halves`)."""
+
+    mu_b: np.ndarray
+    B: np.ndarray
+    lam: np.ndarray
+    e: np.ndarray
+    sq: np.ndarray  # (2, d): c^2 and lam c^2
+    log_peak: float  # (log alpha_a + log_norm_a) - (log alpha_b + log_norm_b)
+
+    def points(self, s: np.ndarray) -> np.ndarray:
+        """x*(s) (n, d) at the weights s (n,) of component a."""
+        s = s[:, None]
+        den = s * self.lam + (1.0 - s)
+        return self.mu_b + (s * self.e / den) @ self.B.T
+
+    def log_ratio(self, s: np.ndarray) -> np.ndarray:
+        """log(r_a / r_b) at x*(s) (n,): W_a (x* - mu_a) = -Y (1 - s) c / den and
+        W_b (x* - mu_b) = V s S c / den, so no point and no density is formed."""
+        inv = 1.0 / (s * self.lam[:, None] + (1.0 - s))
+        inv *= inv
+        sq_a, sq_b = self.sq @ inv
+        return self.log_peak - 0.5 * ((1.0 - s) ** 2 * sq_a - s * s * sq_b)
+
+
+def _ridgeline_halves(mix: Mixture) -> list[_RidgelineHalf]:
+    """The halves (a, b) = (0, 1), then (1, 0), of a 2-component ridgeline.
 
     With s the weight of component a, L_b the Cholesky factor of the other
     one and the SVD W_a L_b = Y S V^T, the basis B = L_b V diagonalizes
-    s P_a + (1 - s) P_b to diag(s lam + 1 - s), lam = S^2, so
-    x* = mu_b + B s e / (s lam + 1 - s) with e = S Y^T W_a (mu_a - mu_b).
-    Each half of the curve is taken from its own end (a = 1, s = t up to
-    t = 1/2, then a = 2, s = 1 - t), so the denominator stays >= 1/2 and no
+    s P_a + (1 - s) P_b to diag(den), den = s lam + 1 - s, lam = S^2, so
+    x*(s) = mu_b + B s e / den, e = S c, c = Y^T W_a (mu_a - mu_b). Each half
+    is taken from its own end, s in [0, 1/2], so den stays >= 1/2 and no
     small singular value is divided by.
     """
     W, mu = mix._whitens, mix._means
+    peak = mix._log_weights + mix._log_norms
+    L = np.linalg.cholesky(np.stack([comp.cov for comp in mix.components]))
+    Y, S, Vt = np.linalg.svd(W @ L[::-1])  # W_a L_b of both halves
     halves = []
     for a, b in ((0, 1), (1, 0)):
-        L_b = mix.components[b].chol
-        Y, s, Vt = np.linalg.svd(W[a] @ L_b)
-        halves.append((mu[b], L_b @ Vt.T, s * s, s * (Y.T @ (W[a] @ (mu[a] - mu[b])))))
+        c, lam = Y[a].T @ (W[a] @ (mu[a] - mu[b])), S[a] * S[a]
+        sq = np.stack([c * c, lam * c * c])
+        halves.append(_RidgelineHalf(mu[b], L[b] @ Vt[a].T, lam, S[a] * c, sq, peak[a] - peak[b]))
+    return halves
+
+
+def _on_halves(halves: list[_RidgelineHalf], f, u: np.ndarray, *shape: int) -> np.ndarray:
+    """f(half, s) at the signed weights u: s = u on the first half where u is
+    +0 or above, s = -u on the second where u is -0 or below."""
+    neg = np.signbit(u)
+    out = np.empty(u.shape + shape)
+    for half, rows in zip(halves, (~neg, neg)):
+        if rows.any():
+            out[rows] = f(half, np.abs(u[rows]))
+    return out
+
+
+def _ridgeline_k2(mix: Mixture):
+    """Closed-form ridgeline of a 2-component mixture: t -> x*(t) for
+    alpha = (t, 1 - t), vectorized, from the first of
+    :func:`_ridgeline_halves` up to t = 1/2 (s = t), then the second."""
+    halves = _ridgeline_halves(mix)
 
     def curve(t):
         t = np.asarray(t, dtype=float)
-        x = np.empty((t.size, mix.dim))
-        for (mu_b, B, lam, e), s, rows in (
-            (halves[0], t, t <= 0.5),
-            (halves[1], 1.0 - t, t > 0.5),
-        ):
-            if rows.any():
-                s = s[rows, None]
-                den = s * lam + (1.0 - s)
-                x[rows] = mu_b + (s * e / den) @ B.T
-        return x
+        return _on_halves(halves, _RidgelineHalf.points, np.where(t <= 0.5, t, -(1.0 - t)), mix.dim)
 
     return curve
 
@@ -750,16 +758,16 @@ def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
     vectorized call f(x) per round over the open brackets: at most one round
     more than bisection. An exact zero closes its bracket. Returns (a, b).
     """
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
     eps = 0.5 * width
-    n_max = np.ceil(np.log2(np.maximum((b - a) / width, 1.0))) + 1.0
-    j = 0
+    # The open brackets, compacted only when some close.
     open_ = np.flatnonzero(b - a > width)
+    ao, bo, fao, fbo = a[open_], b[open_], np.asarray(fa, dtype=float)[open_], np.asarray(fb, dtype=float)[open_]
+    n_max = np.ceil(np.log2((bo - ao) / width)) + 1.0  # less the rounds taken
     while open_.size:
-        ao, bo, fao, fbo = a[open_], b[open_], fa[open_], fb[open_]
         w = bo - ao
         mid = ao + 0.5 * w
-        r = np.maximum(eps * 2.0 ** (n_max[open_] - j) - 0.5 * w, 0.0)
+        r = np.maximum(eps * 2.0 ** n_max - 0.5 * w, 0.0)
         x_f = ao + w * (fao / (fao - fbo))
         sigma = np.sign(mid - x_f)
         delta = kappa1 * w * w
@@ -767,67 +775,78 @@ def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
         x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
         # Stay eps inside, or a root pinned within rounding of an endpoint
         # draws x onto that endpoint round after round; x stays within r.
-        x = x.clip(ao + eps, bo - eps)
+        x = np.minimum(np.maximum(x, ao + eps), bo - eps)
         y = f(x)
         zero = y == 0.0
         left = ~zero & ((y < 0) == (fao < 0))
         right = ~zero & ~left
-        a[open_], fa[open_] = np.where(right, ao, x), np.where(left, y, fao)
-        b[open_], fb[open_] = np.where(left, bo, x), np.where(right, y, fbo)
-        j += 1
-        open_ = open_[b[open_] - a[open_] > width]
+        ao, fao = np.where(right, ao, x), np.where(left, y, fao)
+        bo, fbo = np.where(left, bo, x), np.where(right, y, fbo)
+        n_max -= 1.0
+        keep = bo - ao > width
+        if not keep.all():
+            a[open_], b[open_] = ao, bo
+            open_, ao, bo, fao, fbo, n_max = (v[keep] for v in (open_, ao, bo, fao, fbo, n_max))
     return a, b
+
+
+@functools.lru_cache(maxsize=4)
+def _signed_weights(samples: int) -> np.ndarray:
+    """The oracle's samples u = -s on the second half, then u = s on the first (read-only):
+    the uniform grid weights below 1/2, 1/2 and s = 2^-j, j = 12..1074."""
+    t = np.linspace(0.0, 1.0, samples)
+    s = np.sort(np.concatenate([t[t < 0.5], [0.5], np.ldexp(1.0, -np.arange(12, 1075))]))
+    u = np.concatenate([-s[::-1], s])
+    u.flags.writeable = False
+    return u
 
 
 def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000):
     """Exhaustively enumerate the critical points of a 2-component mixture.
 
-    Every critical point lies on the ridgeline curve x*(t), t in [0, 1], at
-    a zero of the residual r_1(x*(t)) - t (r_1 the responsibility of the
-    first component), which has the sign of d log f(x*(t)) / dt. The
-    residual is taken on a uniform grid. Every sign change is narrowed by
-    ITP to an interval below 1e-12, and the resulting points enter the
-    shared ascent already polishing (damped Newton, so saddles are found
-    too) and are deduplicated.
-
-    The two component means (the curve endpoints) always enter it too,
-    climbing: a mode whose minority responsibility underflows the grid
-    spacing, or even the floating-point gap around t = 0 or 1, has no
-    representable sign change in t but sits near the corresponding mean.
+    Every critical point lies on the ridgeline x*(t), t in [0, 1] (Ray &
+    Lindsay, Ann. Statist. 2005), at a zero of r_1(x*(t)) - t, which has
+    the sign of d log f(x*(t)) / dt. Each half is searched in its own weight
+    s (:func:`_ridgeline_halves`), where the residual r_a - s = sigma(D) - s,
+    D = log(r_a / r_b) in closed form, takes O(d) flops and does not
+    underflow. It is sampled at :func:`_signed_weights`: the signed weight
+    u keeps both ends representable, and s = 2^-j brackets a root at any
+    weight down to 2^-1074 unless a second root lies within a factor of 2
+    of it (a mode-saddle pair); a smaller weight leaves sigma(D) = 0 at
+    s = 0, an exact zero. Every sign change is narrowed at once by ITP to
+    below 1e-12, and the points x*(s) enter the shared ascent polishing
+    (damped Newton, so saddles are found too) and are deduplicated.
     """
     if mix.k != 2:
         raise InvalidParameter(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
     if samples < 1000:
         raise TooFewSamples(f"need at least 1000 samples, got {samples}")
-    curve = _ridgeline_k2(mix)
+    halves = _ridgeline_halves(mix)
 
-    def residual(t):
-        return mix.responsibilities(curve(t))[0] - t
+    def residual(u):
+        """r_1(x*(t)) - t at u: sigma(D) - s on the first half, s - sigma(D) on the second."""
+        D = _on_halves(halves, _RidgelineHalf.log_ratio, u)
+        e = np.exp(-np.abs(D))
+        r = np.where(D >= 0.0, 1.0, e) / (1.0 + e)
+        return np.where(np.signbit(u), np.abs(u) - r, r - u)
 
-    t_grid = np.linspace(0.0, 1.0, samples)
-    h = residual(t_grid)
-    sign = np.sign(h)
-    flips = np.flatnonzero((sign[:-1] * sign[1:]) < 0)
-    spacing = 1.0 / (samples - 1)
-    a, b = _itp_brackets(
-        residual, t_grid[flips], t_grid[flips + 1], h[flips], h[flips + 1], 1e-12, 0.2 / spacing
-    )
-    roots = np.sort(np.concatenate([t_grid[h == 0.0], 0.5 * (a + b)]))
-
+    u = _signed_weights(samples)
+    h = residual(u)
+    flips = np.flatnonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)
+    flips = flips[flips != u.size // 2 - 1]  # -0 and +0 are the two ends of the curve
+    a, b = _itp_brackets(residual, u[flips], u[flips + 1], h[flips], h[flips + 1], 1e-12, 0.2 * (samples - 1))
+    middle = [0.5] * int(h[0] * h[-1] < 0)  # t = 1/2 is sampled by both halves: a sign change there
+    roots = np.concatenate([u[h == 0.0], 0.5 * (a + b), middle])
+    seeds = _on_halves(halves, _RidgelineHalf.points, roots, mix.dim)
     scale = _default_scale(mix)
-    seeds = np.concatenate([curve(roots), mix._means])
-    polishing = np.arange(len(seeds)) < len(roots)
-    pol = _ascend_batch(mix, seeds, AscentOptions(), scale, polishing)
+    pol = _ascend_batch(mix, seeds, AscentOptions(), scale, np.ones(roots.size, dtype=bool))
     return _distinct_critical_points(mix, pol, scale, 1e-5 * scale)
 
 
 def verify_ridgeline_membership(mix: Mixture, cp: CriticalPoint) -> float:
-    """Distance from cp to its own ridgeline image x*(responsibilities(cp)).
-
-    Zero (up to refinement tolerance) exactly when cp is a critical
-    point, since critical points are fixed points of the responsibility-
-    weighted ridgeline map.
-    """
+    """Distance from cp to its own ridgeline image x*(responsibilities(cp)): zero
+    (up to refinement tolerance) exactly when cp is a critical point, a fixed
+    point of the responsibility-weighted ridgeline map."""
     x = np.asarray(cp.location, dtype=float)
     alpha = mix.responsibilities(x[None, :])[:, 0]
     return float(np.linalg.norm(_ridgeline_solve(mix._precisions, mix._means, alpha) - x))

@@ -35,6 +35,7 @@ from gmmodes.modefinder import (
     ridgeline_point,
     verify_ridgeline_membership,
 )
+from sweeps import needle_pair, spectrum_pair
 
 
 def random_two_component(rng, d):
@@ -351,6 +352,41 @@ def test_accepted_climbing_steps_ascend(monkeypatch):
 # Newton step: symmetric elimination, eigh only where its eigenvalue floor acts
 # ----------------------------------------------------------------------
 
+def test_singular_mean_shift_row_takes_no_step():
+    # A row whose system (A / eta - (1 - 1 / eta) H) s = g is singular (here
+    # zero: eta = 2, H = A) takes no step; the other rows keep the steps a
+    # batch without it gives them, bit for bit.
+    scen = duistermaat_triangle(0.72)
+    mix, x = scen.mixture, np.random.default_rng(4).uniform(-1, 1, size=(6, 2))
+    _, resp, g, h = derivatives(mix, x)
+    g, h = g.T.copy(), h.transpose(1, 2, 0).copy()
+    A = (mix._precisions.reshape(mix.k, 4).T @ resp).reshape(2, 2, 6)  # as the step forms it
+    h[..., 2], eta = A[..., 2], np.full(6, 2.0)
+    regular = np.arange(6) != 2
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve((A / eta - 0.5 * h).transpose(2, 0, 1), g.T[..., None])
+    step = modefinder._mean_shift_step(mix, resp, g, h, eta)
+    assert np.all(step[:, 2] == 0.0)
+    alone = modefinder._mean_shift_step(mix, resp[:, regular], g[:, regular], h[..., regular], eta[regular])
+    assert np.array_equal(step[:, regular], alone)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_singular_mean_shift_system_does_not_abort_the_batch(seed):
+    # The product of triangles and its default starts through
+    # M = Q diag(1, c^(1/3), c^(2/3), c), c = 1e8: some climbing rows meet a
+    # singular mean-shift system. The run still reports, and those rows
+    # count as not converged.
+    scen = product_of_triangles(2, 0.72)
+    starts = default_starts(scen, budget=2250, seed=0)
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    M = (q * np.sign(np.diag(r))) @ np.diag(1e8 ** (np.arange(4) / 3))
+    mix = affine_transform(scen.mixture, M, np.zeros(4))
+    rep = find_critical_points(mix, starts @ M.T)
+    assert 0 < rep.starts_converged < rep.starts_used == 2250
+    assert rep.mode_count >= 1 and all(p.converged for p in rep.critical_points)
+
+
 def _eigh_newton_step(g, h, step_cap):
     """Reference: every row through eigh, tiny eigenvalues floored keeping their sign."""
     w, V = np.linalg.eigh(h)
@@ -490,9 +526,9 @@ def test_truncated_climb_of_a_row_does_not_depend_on_its_batch(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
-    # The k = 2 oracle's batch: ridgeline roots that start polishing and the
-    # two means, climbing. Each row ends as it does alone, whatever else the
-    # batch holds or has dropped.
+    # The k = 2 oracle's batch of ridgeline roots, all polishing, with the
+    # two means appended as climbing rows. Each row ends as it does alone,
+    # whatever else the batch holds or has dropped.
     batches, ascend_batch = [], modefinder._ascend_batch
 
     def recorded(mix, X, opts, scale, polishing=None):
@@ -503,8 +539,10 @@ def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
     for seed in range(20):
         ridgeline_oracle_k2(random_pair_scenario(100 * d + seed, d).mixture)
     opts = AscentOptions()
-    for mix, X, scale, polishing in batches:
-        assert polishing is not None and np.sum(~polishing) == 2
+    assert all(len(X) > 0 for _, X, _, _ in batches)  # every oracle call polished some roots
+    for mix, roots, scale, polishing in batches:
+        assert polishing is not None and np.all(polishing)
+        X, polishing = np.concatenate([roots, mix._means]), np.append(polishing, [False, False])
         batch = ascend_batch(mix, X, opts, scale, polishing)
         for i in range(len(X)):
             alone = ascend_batch(mix, X[i : i + 1], opts, scale, polishing[i : i + 1])
@@ -512,7 +550,6 @@ def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
             assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
             kind = modefinder._classified(mix, batch, [i], [1], scale)[0].kind_label
             assert kind == modefinder._classified(mix, alone, [0], [1], scale)[0].kind_label
-    assert sum(len(X) for _, X, _, _ in batches) > 2 * len(batches)  # some roots polished
 
 
 def test_climbing_rows_that_drop_end_as_alone(monkeypatch):
@@ -656,6 +693,16 @@ def test_halton_matches_scipy(d):
         for n in (1, 200, 2250):
             ref = qmc.Halton(d, scramble=True, seed=seed).random(n)
             assert np.array_equal(_halton(n, d, seed), ref)
+
+
+def test_halton_is_memoized_read_only():
+    pts = _halton(200, 3, 5)
+    assert _halton(200, 3, 5) is pts and not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 0.5
+    scen = duistermaat_triangle(0.72)
+    a, b = default_starts(scen, budget=100, seed=5), default_starts(scen, budget=100, seed=5)
+    assert a is not b and a.flags.writeable and np.array_equal(a, b)
 
 
 def test_default_starts_rejects_bad_inputs():
@@ -900,6 +947,82 @@ def test_oracle_census_identity():
         assert _census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) == 1
 
 
+def test_oracle_finds_the_middle_root_of_a_mirrored_pair():
+    # Equal weights and mirrored components put a critical point at t = 1/2,
+    # on the mirror plane x_1 = 0. Both halves sample the residual there and
+    # may round it to opposite signs: that sign change is a root too.
+    rng = np.random.default_rng(0)
+    for i in range(60):
+        d = 1 + i % 3
+        R, A = np.diag([-1.0] + [1.0] * (d - 1)), rng.normal(size=(d, d))
+        C, mu = A @ A.T + 0.3 * np.eye(d), np.eye(d)[0] * rng.uniform(0.5, 3.0)
+        mix = make_mixture([0.5, 0.5], [mu, R @ mu], [C, R @ C @ R])
+        points = ridgeline_oracle_k2(mix, samples=4000)
+        assert _census(points, d) == 1
+        assert any(abs(p.location[0]) <= 1e-12 for p in points)
+
+
+def _oracle_residual(monkeypatch, mix):
+    """The function ridgeline_oracle_k2 brackets, in its signed weight u."""
+    seen = []
+
+    def spy(f, *args):
+        seen.append(f)
+        return _itp_brackets(f, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(modefinder, "_itp_brackets", spy)
+        ridgeline_oracle_k2(mix, samples=4000)
+    return seen[0]
+
+
+def test_closed_form_residual_matches_kernel(monkeypatch):
+    # The oracle's residual at u = t (t <= 1/2) and u = -(1 - t) is the
+    # kernel's r_1(x*(t)) - t on the 4000-point grid, to rounding, with the
+    # same signs.
+    t = np.linspace(0.0, 1.0, 4000)
+    u = np.where(t <= 0.5, t, -(1.0 - t))
+    rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
+    cases = [(random_two_component(rng, int(rng.integers(1, 4))), 4e-15) for _ in range(25)]
+    for d in (1, 2, 3, 4):
+        for ratio in (1.0, 1e3, 1e6, 1e9):
+            rng = np.random.default_rng(int(100 * d + math.log10(ratio)))
+            cases += [(_anisotropic_pair(rng, d, ratio), 4e-14) for _ in range(3)]
+    for mix, tol in cases:
+        kernel = mix.responsibilities(_ridgeline_k2(mix)(t))[0] - t
+        closed = _oracle_residual(monkeypatch, mix)(u)
+        assert np.max(np.abs(closed - kernel)) <= tol
+        assert np.array_equal(np.sign(closed), np.sign(kernel))
+
+
+def test_oracle_resolves_a_pair_below_the_first_grid_cell():
+    # Needle mixture 384: a mode at weight 3.3e-12 and a saddle at 1.2e-4 of
+    # the first component, both inside the first uniform cell (1 / 3999) of
+    # the first half. Both are reported, and the census is complete.
+    mix = needle_pair(384)
+    points = ridgeline_oracle_k2(mix, samples=4000)
+    weights = mix.responsibilities(np.array([p.location for p in points]))[0]
+    low = sorted((w, p.kind_label) for w, p in zip(weights, points) if w < 1.0 / 3999)
+    assert [kind for _, kind in low] == ["mode", "saddle(1)"]
+    assert low[0][0] < 1e-11
+    assert _census(points, mix.dim) == 1
+
+
+def test_oracle_census_on_the_spectrum_sweep():
+    # Covariance ratios up to 1e12 with geometric spectra (tests/sweeps.py):
+    # the census is complete on every mixture.
+    for i in range(200):
+        assert _census(ridgeline_oracle_k2(spectrum_pair(i), samples=4000), 1 + i % 3) == 1
+
+
+def test_oracle_census_on_the_needle_sweep():
+    # Crossing needles up to a covariance ratio of 1e12 (tests/sweeps.py).
+    # Where a polish stalls above the gradient tolerance the oracle drops
+    # that point, so the census holds on 58 of the first 100, not all.
+    held = sum(_census(ridgeline_oracle_k2(needle_pair(i), samples=4000), 2 + i % 2) == 1 for i in range(100))
+    assert held >= 58
+
+
 def test_oracle_brackets_sign_of_log_density_slope(monkeypatch):
     """The function the oracle brackets has the sign of d log f(x*(t)) / dt,
     checked on the 4000-point grid against a centred finite difference
@@ -926,7 +1049,8 @@ def test_oracle_brackets_sign_of_log_density_slope(monkeypatch):
         err = np.abs(slope - slope_2h) + 1e-15 * (1.0 + np.abs(log_f(t))) / h
         clear = np.abs(slope) > 100 * err
         assert np.count_nonzero(clear) >= 0.99 * t.size
-        assert np.array_equal(np.sign(bracketed.pop()(t)[clear]), np.sign(slope[clear]))
+        u = np.where(t <= 0.5, t, t - 1.0)  # the oracle's signed weight of x*(t)
+        assert np.array_equal(np.sign(bracketed.pop()(u)[clear]), np.sign(slope[clear]))
 
 
 def test_itp_brackets_on_known_roots():
