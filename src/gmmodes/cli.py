@@ -189,7 +189,8 @@ def cmd_bounds(args) -> int:
 
 
 def _corner(text: str | None, dim: int, default: np.ndarray) -> np.ndarray:
-    """A box corner from a comma-separated --lo/--hi value, else the default."""
+    """A box corner from a comma-separated --lo/--hi value, else the default.
+    Its coordinates must be finite; a lo above hi scans that axis downward."""
     if text is None:
         return default
     try:
@@ -198,6 +199,8 @@ def _corner(text: str | None, dim: int, default: np.ndarray) -> np.ndarray:
         raise InvalidParameter(f"corner {text!r} is not comma-separated numbers") from exc
     if corner.shape != (dim,):
         raise DimensionMismatch(f"corner {text!r} has {corner.size} coordinates, the mixture has {dim}")
+    if not np.all(np.isfinite(corner)):
+        raise InvalidParameter(f"corner {text!r} has a non-finite coordinate")
     return corner
 
 

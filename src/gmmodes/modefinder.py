@@ -1,7 +1,9 @@
 """Locate, refine, classify and deduplicate critical points of a mixture.
 
 Every start climbs, then polishes, in one batched loop over the (m, d)
-derivative kernel :func:`gmmodes.mixture.derivatives`. Climbing takes the
+derivative kernel :func:`gmmodes.mixture.derivatives`, called once per
+iteration on every row's trial point; a rejected trial leaves its row in
+place and shapes only that row's next step. Climbing takes the
 Newton step where the Hessian is negative definite, else a mean-shift
 step. The plain one, x' = x + A^{-1} grad f / f with A = sum_i r_i P_i
 (r_i the responsibilities, P_i the precisions), is the EM step of the
@@ -87,10 +89,10 @@ class AscentOptions:
     dedup_radius: float | None = None
 
     def __post_init__(self):
-        if not self.gradient_tolerance > 0.0:
-            raise InvalidParameter("gradient_tolerance must be > 0")
-        if self.dedup_radius is not None and not self.dedup_radius > 0.0:
-            raise InvalidParameter("dedup_radius must be > 0")
+        if not 0.0 < self.gradient_tolerance < math.inf:
+            raise InvalidParameter("gradient_tolerance must be finite and > 0")
+        if self.dedup_radius is not None and not 0.0 < self.dedup_radius < math.inf:
+            raise InvalidParameter("dedup_radius must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -325,37 +327,40 @@ def _ascend_batch(
 ) -> _Endpoints:
     """Ascend from every row of X at once: each row climbs, then polishes.
 
-    Each iteration makes one :func:`derivatives` call over the active rows,
-    plus one per repair round over the rows whose step was rejected. Every
-    rule is per row, so an endpoint does not depend on the batch:
+    Each iteration takes every active row's step from its current point,
+    makes one :func:`derivatives` call over the trial points and accepts or
+    rejects each trial once. A rejected trial leaves its row where it is and
+    changes only that row's next step. Every rule is per row, so an endpoint
+    does not depend on the batch:
 
     - Climbing: the Newton step where Hess f / f is negative definite,
       else the mean-shift step s of :func:`_mean_shift_step` at the row's
       overrelaxation factor eta. An overrelaxed s that is not an ascent
       direction, s . grad f / f <= 0, resets eta to 1 and is replaced by
-      the plain step (ascent rule). A Newton step that lowers log f by more
-      than the monotone slack falls back to the mean-shift step at the
-      row's eta (fall-back rule). A mean-shift step with eta > 1 that does
-      so resets eta to 1 and is retaken as the plain step (reset rule); a
-      plain step that does so is halved toward its origin while log f
-      drops by more than the slack, at most 60 times.
+      the plain step (ascent rule). A trial that lowers log f by more than
+      the monotone slack is rejected. After a Newton trial the row takes
+      the mean-shift step until it next moves (fall-back rule); after an
+      overrelaxed one eta resets to 1 (reset rule); after a plain one the
+      row retries at 2^-h times the step, h the rejections since it last
+      moved, and the trial at h = 60 is accepted whatever it gives.
     - Overrelaxation: eta starts at 1 and doubles, up to _OVERRELAX_CAP,
-      after each mean-shift step accepted without halving. It is per-row
-      state, compacted with the rows.
+      after each mean-shift step accepted at full length.
     - Handover to polishing: ||grad f / f|| < 1e3 * gradient_tolerance, a
       step below _STEP_TOLERANCE, or _MAX_CLIMBS climbs. Rows
       marked in ``polishing`` start there.
-    - Polishing: damped Newton, a step halved toward its origin (at most
-      30 times) while it more than doubles ||grad f / f||, until a step
-      below _STEP_TOLERANCE or _MAX_NEWTON_STEPS steps. It goes past the
-      gradient test so that starts in flat regions land on one point
-      rather than scattering across the plateau. A row already within
-      gradient_tolerance whose step is rejected keeps its point and stops
+    - Polishing: damped Newton, until a step below _STEP_TOLERANCE or
+      _MAX_NEWTON_STEPS steps. A trial that more than doubles
+      ||grad f / f|| is rejected and retried at 2^-h times the step, and
+      the trial at h = 30 is accepted. Polishing goes past the gradient
+      test so that starts in flat regions land on one point rather than
+      scattering across the plateau. A row already within
+      gradient_tolerance whose trial is rejected keeps its point and stops
       (settle rule): at the noise floor halving cannot help.
     - Newton steps come from :func:`_newton_step`, capped at scale / 2.
 
-    A row has converged when ||grad f / f|| <= gradient_tolerance at its
-    endpoint. The working set, rows last, is compacted only when rows finish.
+    Climbs and Newton steps count accepted steps only. A row has converged
+    when ||grad f / f|| <= gradient_tolerance at its endpoint. The working
+    set, rows last, is compacted only when rows finish.
     """
     tol, step_cap = opts.gradient_tolerance, 0.5 * max(scale, 1e-300)
     x0 = np.array(np.transpose(X), dtype=float, order="C")
@@ -366,14 +371,16 @@ def _ascend_batch(
     steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
     stalled = np.zeros(n, dtype=bool)  # the last step was below _STEP_TOLERANCE
     eta = np.ones(n)  # overrelaxation of each row's mean-shift step
+    halvings = np.zeros(n, dtype=int)  # h: halved trials rejected since the row last moved
+    barred = np.zeros(n, dtype=bool)  # a Newton trial was rejected since the row last moved
     cur = _state(mix, x0.copy())
-    g_norm = _row_norms(cur[3])  # ||grad f / f|| at cur's rows, then carried from the repair check
+    g_norm = _row_norms(cur[3])  # ||grad f / f|| at cur's rows
     while rows.size:
         x, logf, resp, g, h = cur
         start = ~polish & ((g_norm < 1e3 * tol) | stalled | (steps >= _MAX_CLIMBS))
         polish[start], steps[start] = True, 0
         step, concave = _newton_step(g, h, step_cap, polish)
-        newton = polish | concave
+        newton = polish | (concave & ~barred)
         shift = ~newton
         if shift.any():
             step[:, shift] = _mean_shift_step(mix, resp[:, shift], g[:, shift], h[..., shift], eta[shift])
@@ -382,49 +389,36 @@ def _ascend_batch(
             if back.any():
                 eta[back] = 1.0
                 step[:, back] = _mean_shift_step(mix, resp[:, back], g[:, back], h[..., back], 1.0)
-        x_new = x + step
-        new = _state(mix, x_new)
-        halvings = np.zeros(rows.size, dtype=int)
-        while True:
-            new_norm = _row_norms(new[3])
-            drop = ~polish & (new[1] < logf - _MONOTONE_SLACK)
-            worse = polish & (new_norm > 2.0 * g_norm)
-            if not (drop | worse).any():
-                break
-            # Newton rows fall back to the mean-shift step, overrelaxed ones
-            # to the plain one; any other dropping row halves its step.
-            retake = drop & (newton | (eta > 1.0))
-            settle = worse & (g_norm <= tol)
-            if settle.any():
-                for a, b in zip(new, cur):
-                    a[..., settle] = b[..., settle]
-                new_norm[settle] = g_norm[settle]
-            redo = retake | (drop & (halvings < 60)) | (worse & ~settle & (halvings < 30))
-            if not redo.any():
-                break
-            # In place: x_new is new[0], which the settle rule resets.
-            halve = redo & ~retake
-            np.copyto(x_new, 0.5 * (x_new + x), where=halve)
-            halvings += halve
-            eta[retake & ~newton] = 1.0
-            if retake.any():
-                step[:, retake] = _mean_shift_step(mix, resp[:, retake], g[:, retake], h[..., retake], eta[retake])
-                x_new[:, retake] = x[:, retake] + step[:, retake]
-            newton[retake] = False
-            for a, b in zip(new, _state(mix, x_new[:, redo])):
-                a[..., redo] = b
-        grow = ~newton & (halvings == 0)
+        new = _state(mix, x + np.ldexp(step, -halvings))
+        new_norm = _row_norms(new[3])
+        drop = ~polish & (new[1] < logf - _MONOTONE_SLACK)
+        worse = polish & (new_norm > 2.0 * g_norm)
+        settle = worse & (g_norm <= tol)
+        retake = drop & (newton | (eta > 1.0))
+        halve = (drop & ~retake & (halvings < 60)) | (worse & ~settle & (halvings < 30))
+        retry = retake | halve
+        stay = retry | settle
+        if stay.any():
+            for a, b in zip(new, cur):
+                a[..., stay] = b[..., stay]
+            new_norm[stay] = g_norm[stay]
+        eta[retake & ~newton] = 1.0
+        barred = retry & (barred | (retake & newton))
+        grow = ~retry & ~newton & (halvings == 0)
         np.copyto(eta, np.minimum(2.0 * eta, _OVERRELAX_CAP), where=grow)
-        stalled = _row_norms(x_new - x) < _STEP_TOLERANCE
+        halvings = (halvings + halve) * retry
+        # Kept rows read a zero step: a settled row stalls and finishes, a retrying one does not.
+        stalled = ~retry & (_row_norms(new[0] - x) < _STEP_TOLERANCE)
         cur, g_norm = new, new_norm
-        steps += 1
+        steps += ~retry
         done = polish & (stalled | (steps >= _MAX_NEWTON_STEPS))
         if done.any():
             # Integer indices: each boolean mask index would redo its nonzero.
             fin, keep = done.nonzero()[0], (~done).nonzero()[0]
             for a, b in zip(out, (cur[0], cur[1], g_norm, cur[4])):
                 a[..., rows[fin]] = b.take(fin, axis=-1)
-            rows, polish, steps, stalled, eta, g_norm = (a[keep] for a in (rows, polish, steps, stalled, eta, g_norm))
+            state = (rows, polish, steps, stalled, eta, halvings, barred, g_norm)
+            rows, polish, steps, stalled, eta, halvings, barred, g_norm = (a[keep] for a in state)
             cur = [a.take(keep, axis=-1) for a in cur]
     x, logf, grad_norm, hess = out
     return _Endpoints(x.T, logf, grad_norm, hess.transpose(2, 0, 1), grad_norm <= tol)

@@ -395,10 +395,14 @@ def _edit_search_box(meta, edit):
                      ["scan", "MIXTURE", "--res", "3"], id="scan-meta-box-reversed"),
         pytest.param(None, None, ["scan", "MIXTURE", "--lo", "a,b"], id="scan-lo-not-numbers"),
         pytest.param(None, None, ["scan", "MIXTURE", "--lo", "0"], id="scan-lo-wrong-dim"),
+        pytest.param(None, None, ["scan", "MIXTURE", "--res", "2", "--lo", "nan,0"], id="scan-lo-nan"),
+        pytest.param(None, None, ["scan", "MIXTURE", "--res", "2", "--hi", "inf,1"], id="scan-hi-inf"),
         pytest.param(None, None, ["scan", "MIXTURE", "--res", "-5"], id="scan-negative-res"),
         pytest.param(None, None, ["ridgeline", "MIXTURE", "--samples", "-3"], id="ridgeline-negative-samples"),
         pytest.param(None, None, ["modes", "MIXTURE", "--dedup-radius", "-1"], id="modes-negative-dedup-radius"),
         pytest.param(None, None, ["modes", "MIXTURE", "--grad-tol", "0"], id="modes-zero-grad-tol"),
+        pytest.param(None, None, ["modes", "MIXTURE", "--grad-tol", "inf"], id="modes-infinite-grad-tol"),
+        pytest.param(None, None, ["modes", "MIXTURE", "--dedup-radius", "inf"], id="modes-infinite-dedup-radius"),
         pytest.param(None, None, ["bounds", "--d", "-1", "--k", "2"], id="bounds-negative-d"),
         pytest.param(None, None, ["verify", "--only", "nothing-matches"], id="verify-only-matches-nothing"),
         pytest.param(None, None, ["verify", "--only", "cross", "--starts", "-5"], id="verify-negative-starts"),

@@ -182,9 +182,11 @@ def _product_long_climbs(scen):
 
 def _climb_trails(monkeypatch, mix, starts, scale):
     """Ascend from each start alone; per start, one (x, log f, climbing,
-    Newton) tuple per iteration: the accepted point, its log-density,
-    whether the row climbs from it and whether that climb is a Newton step.
-    The loop state is rows last, so a lone start's point is column 0."""
+    Newton) tuple per point the row moved to: the point, its log-density,
+    whether the row climbs from it and whether its Hessian there is
+    negative definite. An iteration that finds the row where the previous
+    one did followed a rejected trial, not a step, and adds no tuple. The
+    loop state is rows last, so a lone start's point is column 0."""
     states, trails = {}, []
     state, newton_step = modefinder._state, modefinder._newton_step
 
@@ -196,7 +198,8 @@ def _climb_trails(monkeypatch, mix, starts, scale):
     def recorded_newton_step(g, h, step_cap, polish):
         step, concave = newton_step(g, h, step_cap, polish)
         x, logf = states[id(g)][:2]
-        trails[-1].append((x[:, 0].copy(), float(logf[0]), not polish[0], bool(concave[0])))
+        if not trails[-1] or not np.array_equal(trails[-1][-1][0], x[:, 0]):
+            trails[-1].append((x[:, 0].copy(), float(logf[0]), not polish[0], bool(concave[0])))
         return step, concave
 
     monkeypatch.setattr(modefinder, "_state", recorded_state)
@@ -253,6 +256,26 @@ def test_product_ascent_work_bound(monkeypatch, seed, plain_calls):
     assert rep.mode_count == scen.expected_modes and rep.starts_converged == len(starts)
     assert 0 < len(calls) <= 200 < plain_calls
     assert len(calls) <= 60
+    # One call per iteration, a rejected trial retried in the next: 32 and
+    # 24 calls, where a repair call in the same iteration needed 46 and 38.
+    assert len(calls) <= {0: 32, 1: 24}[seed]
+
+
+def test_catalog_ascent_work_bound(monkeypatch):
+    # The catalog as gmmodes verify runs it, at Halton seed 0: 151
+    # derivative calls, where a repair call in the same iteration needed 199.
+    calls, derivatives = [], modefinder.derivatives
+
+    def counted(mix, X):
+        calls.append(len(X))
+        return derivatives(mix, X)
+
+    monkeypatch.setattr(modefinder, "derivatives", counted)
+    for scen in scenario_catalog():
+        starts = default_starts(scen, budget=max(500, 250 * scen.mixture.k), seed=0)
+        rep = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
+        assert scen.expected_modes in (None, rep.mode_count)
+    assert 0 < len(calls) <= 151
 
 
 # ----------------------------------------------------------------------
@@ -505,6 +528,30 @@ def test_driver_identical_to_sequential_ascend(scenario, starts):
     assert hits == [p.converged_from for p in rep.critical_points]
 
 
+@pytest.mark.parametrize(
+    "scenario, starts",
+    [
+        (cross_example(), lambda scen: default_starts(scen, budget=60, seed=1)),
+        (duistermaat_triangle(0.72), lambda scen: default_starts(scen, budget=150, seed=1)),
+        (product_of_triangles(2, 0.72), lambda scen: default_starts(scen, budget=2250, seed=1)[::112][:20]),
+    ],
+    ids=["cross", "triangle", "product"],
+)
+def test_one_derivatives_call_per_iteration(monkeypatch, scenario, starts):
+    # One kernel call at the starts, then one per iteration over the trial
+    # points: a rejected trial is retried in the next iteration, not by a
+    # further call in the same one.
+    calls = {"derivatives": 0, "_newton_step": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(modefinder, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(modefinder, name, counted)
+    find_critical_points(scenario.mixture, starts(scenario), search_box=scenario.search_box)
+    assert calls["derivatives"] == calls["_newton_step"] + 1
+
+
 def test_truncated_climb_of_a_row_does_not_depend_on_its_batch(monkeypatch):
     # Cut after 8 climbs and one Newton step, so that endpoints still show
     # the climb: each row's overrelaxation is its own, and only rounding,
@@ -553,23 +600,25 @@ def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
 
 
 def test_climbing_rows_that_drop_end_as_alone(monkeypatch):
-    # Climbing rows whose step lowers log f, next to rows whose steps do
-    # not: only the dropping rows are repaired, and every row ends where it
-    # ends alone, as the same kind.
+    # Climbing rows whose trial lowers log f, next to rows whose trials do
+    # not: only the dropping rows stay where they are, and every row ends
+    # where it ends alone, as the same kind.
     scen = duistermaat_triangle(0.6)
     mix, X = scen.mixture, np.random.default_rng(2).uniform(-2, 2, size=(20, 2))
     lo, hi = scen.search_box
     scale, opts = float(np.linalg.norm(hi - lo)), AscentOptions()
-    calls, state, newton_step = [], modefinder._state, modefinder._newton_step
-
-    def recorded_newton_step(g, h, step_cap, polish):
-        calls.append([polish.any()])  # an iteration: then its state calls' row counts
-        return newton_step(g, h, step_cap, polish)
+    iterations, states, state, newton_step = [], {}, modefinder._state, modefinder._newton_step
 
     def recorded_state(mix, x):
-        if calls:
-            calls[-1].append(x.shape[1])
-        return state(mix, x)
+        s = state(mix, x)
+        states[id(s[3])] = s  # the loop passes this grad array to _newton_step
+        return s
+
+    def recorded_newton_step(g, h, step_cap, polish):
+        # The rows' points, rows last; None after the loop compacted its rows.
+        s = states.get(id(g))
+        iterations.append((polish.any(), None if s is None else s[0].copy()))
+        return newton_step(g, h, step_cap, polish)
 
     monkeypatch.setattr(modefinder, "_newton_step", recorded_newton_step)
     monkeypatch.setattr(modefinder, "_state", recorded_state)
@@ -580,8 +629,20 @@ def test_climbing_rows_that_drop_end_as_alone(monkeypatch):
         alone = modefinder._ascend_batch(mix, x[None, :], opts, scale)
         assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
         assert kinds[i] == modefinder._classified(mix, alone, [0], [1], scale)[0].kind_label
-    # Some iteration in which every row climbs repaired some rows, not all.
-    assert any(not polishing and min(rows[1:], default=rows[0]) < rows[0] for polishing, *rows in calls)
+    # Some iteration in which every row climbs keeps some rows in place and
+    # moves the others (no row finishes while climbing, so the next
+    # iteration holds the same rows in the same order); each kept row moves
+    # later, so its point is no row's endpoint.
+    mixed = 0
+    for (polishing, x), (_, x_next) in zip(iterations, iterations[1:]):
+        if polishing or x is None or x_next is None:
+            continue
+        kept = np.all(x_next == x, axis=0)
+        if kept.any() and not kept.all():
+            mixed += 1
+            for p in x[:, kept].T:
+                assert not np.any(np.all(batch.x == p, axis=1))
+    assert mixed > 0
 
 
 def test_batched_classifier_on_a_mixed_batch(monkeypatch):
