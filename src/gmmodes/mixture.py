@@ -286,6 +286,9 @@ def derivatives(mix: Mixture, X) -> Derivatives:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     m, d = X.shape
+    if 0 < m < 4:  # BLAS and einsum round under 4 columns unlike a batch's first 4: pad
+        log_density, resp, g, h = derivatives(mix, np.concatenate([X, np.repeat(X[-1:], 4 - m, axis=0)]))
+        return Derivatives(log_density[:m], resp[:, :m], g[:m], h[:m])
     log_density, resp = mix._log_density_resp(X)  # (m,), (k, m)
     offsets = mix._means[:, :, None] - X.T  # (k, d, m)
     G = mix._precisions @ offsets

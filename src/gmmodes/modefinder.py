@@ -2,8 +2,9 @@
 
 Every start climbs, then polishes, in one batched loop over the (m, d)
 derivative kernel :func:`gmmodes.mixture.derivatives`, called once per
-iteration on every row's trial point; a rejected trial leaves its row in
-place and shapes only that row's next step. Climbing takes the
+iteration on the trial points of the rows that go on: a rejected trial
+leaves its row in place and shapes only its next step, and a converged
+polishing row whose step would not move it ends. Climbing takes the
 Newton step where the Hessian is negative definite, else a mean-shift
 step. The plain one, x' = x + A^{-1} grad f / f with A = sum_i r_i P_i
 (r_i the responsibilities, P_i the precisions), is the EM step of the
@@ -328,10 +329,10 @@ def _ascend_batch(
     """Ascend from every row of X at once: each row climbs, then polishes.
 
     Each iteration takes every active row's step from its current point,
-    makes one :func:`derivatives` call over the trial points and accepts or
-    rejects each trial once. A rejected trial leaves its row where it is and
-    changes only that row's next step. Every rule is per row, so an endpoint
-    does not depend on the batch:
+    ends the rows that are done, makes one :func:`derivatives` call over the
+    trial points and accepts or rejects each trial once. A rejected trial
+    leaves its row where it is and changes only its next step. Every rule
+    is per row, so an endpoint does not depend on the batch:
 
     - Climbing: the Newton step where Hess f / f is negative definite,
       else the mean-shift step s of :func:`_mean_shift_step` at the row's
@@ -353,14 +354,14 @@ def _ascend_batch(
       ||grad f / f|| is rejected and retried at 2^-h times the step, and
       the trial at h = 30 is accepted. Polishing goes past the gradient
       test so that starts in flat regions land on one point rather than
-      scattering across the plateau. A row already within
-      gradient_tolerance whose trial is rejected keeps its point and stops
-      (settle rule): at the noise floor halving cannot help.
+      scattering across the plateau. A row within gradient_tolerance ends
+      where it is when its trial would move less than _STEP_TOLERANCE (end
+      rule) or is rejected (settle rule): halving cannot help there.
     - Newton steps come from :func:`_newton_step`, capped at scale / 2.
 
     Climbs and Newton steps count accepted steps only. A row has converged
     when ||grad f / f|| <= gradient_tolerance at its endpoint. The working
-    set, rows last, is compacted only when rows finish.
+    set, rows last, is compacted only when rows end, before the kernel call.
     """
     tol, step_cap = opts.gradient_tolerance, 0.5 * max(scale, 1e-300)
     x0 = np.array(np.transpose(X), dtype=float, order="C")
@@ -389,9 +390,22 @@ def _ascend_batch(
             if back.any():
                 eta[back] = 1.0
                 step[:, back] = _mean_shift_step(mix, resp[:, back], g[:, back], h[..., back], 1.0)
-        new = _state(mix, x + np.ldexp(step, -halvings))
+        trial = x + np.ldexp(step, -halvings)
+        still = polish & (g_norm <= tol) & (_row_norms(trial - x) < _STEP_TOLERANCE)  # end rule
+        done = still | (polish & ((stalled & ~start) | (steps >= _MAX_NEWTON_STEPS)))
+        if done.any():
+            # Integer indices: each boolean mask index would redo its nonzero.
+            fin, keep = done.nonzero()[0], (~done).nonzero()[0]
+            for a, b in zip(out, (x, logf, g_norm, h)):
+                a[..., rows[fin]] = b.take(fin, axis=-1)
+            if not keep.size:
+                break
+            state = (rows, polish, steps, eta, halvings, barred, g_norm, newton)
+            rows, polish, steps, eta, halvings, barred, g_norm, newton = (a[keep] for a in state)
+            cur, trial = [a.take(keep, axis=-1) for a in cur], trial.take(keep, axis=-1)
+        new = _state(mix, trial)
         new_norm = _row_norms(new[3])
-        drop = ~polish & (new[1] < logf - _MONOTONE_SLACK)
+        drop = ~polish & (new[1] < cur[1] - _MONOTONE_SLACK)
         worse = polish & (new_norm > 2.0 * g_norm)
         settle = worse & (g_norm <= tol)
         retake = drop & (newton | (eta > 1.0))
@@ -408,18 +422,9 @@ def _ascend_batch(
         np.copyto(eta, np.minimum(2.0 * eta, _OVERRELAX_CAP), where=grow)
         halvings = (halvings + halve) * retry
         # Kept rows read a zero step: a settled row stalls and finishes, a retrying one does not.
-        stalled = ~retry & (_row_norms(new[0] - x) < _STEP_TOLERANCE)
+        stalled = ~retry & (_row_norms(new[0] - cur[0]) < _STEP_TOLERANCE)
         cur, g_norm = new, new_norm
         steps += ~retry
-        done = polish & (stalled | (steps >= _MAX_NEWTON_STEPS))
-        if done.any():
-            # Integer indices: each boolean mask index would redo its nonzero.
-            fin, keep = done.nonzero()[0], (~done).nonzero()[0]
-            for a, b in zip(out, (cur[0], cur[1], g_norm, cur[4])):
-                a[..., rows[fin]] = b.take(fin, axis=-1)
-            state = (rows, polish, steps, stalled, eta, halvings, barred, g_norm)
-            rows, polish, steps, stalled, eta, halvings, barred, g_norm = (a[keep] for a in state)
-            cur = [a.take(keep, axis=-1) for a in cur]
     x, logf, grad_norm, hess = out
     return _Endpoints(x.T, logf, grad_norm, hess.transpose(2, 0, 1), grad_norm <= tol)
 
@@ -691,13 +696,18 @@ class _RidgelineHalf(NamedTuple):
         den = s * self.lam + (1.0 - s)
         return self.mu_b + (s * self.e / den) @ self.B.T
 
-    def log_ratio(self, s: np.ndarray) -> np.ndarray:
-        """log(r_a / r_b) at x*(s) (n,): W_a (x* - mu_a) = -Y (1 - s) c / den and
-        W_b (x* - mu_b) = V s S c / den, so no point and no density is formed."""
+    def log_ratio(self, s: np.ndarray, slope: bool = False) -> np.ndarray:
+        """D = log(r_a / r_b) at x*(s) (n,), or [D, dD / ds] (n, 2) with ``slope``:
+        W_a (x* - mu_a) = -Y (1 - s) c / den and W_b (x* - mu_b) = V s S c / den,
+        so no point and no density is formed. D' sums q = c^2 / den^2 and q (lam - 1) / den."""
         inv = 1.0 / (s * self.lam[:, None] + (1.0 - s))
-        inv *= inv
-        sq_a, sq_b = self.sq @ inv
-        return self.log_peak - 0.5 * ((1.0 - s) ** 2 * sq_a - s * s * sq_b)
+        q = inv * inv
+        sq_a, sq_b = self.sq @ q
+        D = self.log_peak - 0.5 * ((1.0 - s) ** 2 * sq_a - s * s * sq_b)
+        if not slope:
+            return D
+        dq_a, dq_b = self.sq @ (q * inv * (self.lam - 1.0)[:, None])
+        return np.stack([D, (1.0 - s) * sq_a + s * sq_b + (1.0 - s) ** 2 * dq_a - s * s * dq_b], axis=1)
 
 
 def _ridgeline_halves(mix: Mixture) -> list[_RidgelineHalf]:
@@ -746,42 +756,43 @@ def _ridgeline_k2(mix: Mixture):
     return curve
 
 
-def _itp_brackets(f, a, b, fa, fb, width: float, kappa1: float):
-    """Shrink every bracket [a_i, b_i] with f(a_i) f(b_i) < 0 to width <= ``width``
-    by ITP (Oliveira & Takahashi, ACM TOMS 2020; kappa2 = 2, n0 = 1), with one
-    vectorized call f(x) per round over the open brackets: at most one round
-    more than bisection. An exact zero closes its bracket. Returns (a, b).
-    """
-    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-    eps = 0.5 * width
-    # The open brackets, compacted only when some close.
-    open_ = np.flatnonzero(b - a > width)
-    ao, bo, fao, fbo = a[open_], b[open_], np.asarray(fa, dtype=float)[open_], np.asarray(fb, dtype=float)[open_]
-    n_max = np.ceil(np.log2((bo - ao) / width)) + 1.0  # less the rounds taken
-    while open_.size:
-        w = bo - ao
-        mid = ao + 0.5 * w
-        r = np.maximum(eps * 2.0 ** n_max - 0.5 * w, 0.0)
-        x_f = ao + w * (fao / (fao - fbo))
-        sigma = np.sign(mid - x_f)
-        delta = kappa1 * w * w
-        x_t = np.where(delta <= np.abs(mid - x_f), x_f + sigma * delta, mid)
-        x = np.where(np.abs(x_t - mid) <= r, x_t, mid - sigma * r)
-        # Stay eps inside, or a root pinned within rounding of an endpoint
-        # draws x onto that endpoint round after round; x stays within r.
-        x = np.minimum(np.maximum(x, ao + eps), bo - eps)
-        y = f(x)
-        zero = y == 0.0
-        left = ~zero & ((y < 0) == (fao < 0))
-        right = ~zero & ~left
-        ao, fao = np.where(right, ao, x), np.where(left, y, fao)
-        bo, fbo = np.where(left, bo, x), np.where(right, y, fbo)
-        n_max -= 1.0
-        keep = bo - ao > width
-        if not keep.all():
-            a[open_], b[open_] = ao, bo
-            open_, ao, bo, fao, fbo, n_max = (v[keep] for v in (open_, ao, bo, fao, fbo, n_max))
-    return a, b
+def _ridgeline_residual(halves: list[_RidgelineHalf], u: np.ndarray) -> np.ndarray:
+    """r_1(x*(t)) - t at the signed weights u: sigma(D) - s, or s - sigma(D) on the second half."""
+    D = _on_halves(halves, _RidgelineHalf.log_ratio, u)
+    e = np.exp(-np.abs(D))
+    r = np.where(D >= 0.0, 1.0, e) / (1.0 + e)
+    return np.where(np.signbit(u), np.abs(u) - r, r - u)
+
+
+def _signed_weight(theta: np.ndarray) -> np.ndarray:
+    """u at theta = log(t / (1 - t)): t where theta is -0 or below, t - 1 elsewhere."""
+    e = np.exp(-np.abs(theta))
+    return np.copysign(e / (1.0 + e), -theta)
+
+
+def _ridgeline_log_residual(halves: list[_RidgelineHalf], theta: np.ndarray):
+    """G = log(r_1 / r_2) - theta, which has the sign of r_1 - t, and G' at x*(t),
+    theta = log(t / (1 - t)). On a half of weight s, G = +-F and G' = F' for
+    F = D(s) - log(s / (1 - s)), F' = s (1 - s) D'(s) - 1."""
+    u = _signed_weight(theta)
+    D, slope = _on_halves(halves, lambda half, s: half.log_ratio(s, True), u, 2).T
+    return np.where(np.signbit(u), -D, D) - theta, np.abs(u) * (1.0 - np.abs(u)) * slope - 1.0
+
+
+def _newton_roots(f, neg: np.ndarray, pos: np.ndarray, tol: float) -> np.ndarray:
+    """A root of f in each bracket, f(neg_i) < 0 < f(pos_i), by Newton from the
+    midpoints, all at once; f(x) gives f and f'. Each value moves the bracket
+    end of its sign, and an iterate that leaves its bracket is its midpoint;
+    after 60 rounds (the sweeps take at most 8) it bisects, so a Newton cycle
+    cannot hold it. The roots are the next iterates once no step exceeds tol."""
+    x, new, rounds = np.inf, 0.5 * (neg + pos), 0
+    while not np.all(np.abs(new - x) <= tol):
+        x, rounds = new, rounds + 1
+        y, dy = f(x)
+        neg, pos = np.where(y < 0.0, x, neg), np.where(y > 0.0, x, pos)
+        new = x - np.divide(y, dy, out=np.full_like(y, np.inf), where=dy != 0.0)
+        new = np.where(((new - neg) * (new - pos) <= 0.0) & (rounds < 60), new, 0.5 * (neg + pos))
+    return new
 
 
 @functools.lru_cache(maxsize=4)
@@ -807,30 +818,26 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000):
     u keeps both ends representable, and s = 2^-j brackets a root at any
     weight down to 2^-1074 unless a second root lies within a factor of 2
     of it (a mode-saddle pair); a smaller weight leaves sigma(D) = 0 at
-    s = 0, an exact zero. Every sign change is narrowed at once by ITP to
-    below 1e-12, and the points x*(s) enter the shared ascent polishing
-    (damped Newton, so saddles are found too) and are deduplicated.
+    s = 0, an exact zero. Every sign change is refined at once by Newton in
+    theta = log(t / (1 - t)) (:func:`_ridgeline_log_residual`) to a step of
+    4e-12, so 1e-12 in t; the points x*(t) are polished by the shared ascent
+    (damped Newton, which finds saddles too) and deduplicated.
     """
     if mix.k != 2:
         raise InvalidParameter(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
     if samples < 1000:
         raise TooFewSamples(f"need at least 1000 samples, got {samples}")
     halves = _ridgeline_halves(mix)
-
-    def residual(u):
-        """r_1(x*(t)) - t at u: sigma(D) - s on the first half, s - sigma(D) on the second."""
-        D = _on_halves(halves, _RidgelineHalf.log_ratio, u)
-        e = np.exp(-np.abs(D))
-        r = np.where(D >= 0.0, 1.0, e) / (1.0 + e)
-        return np.where(np.signbit(u), np.abs(u) - r, r - u)
-
     u = _signed_weights(samples)
-    h = residual(u)
+    h = _ridgeline_residual(halves, u)
     flips = np.flatnonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)
     flips = flips[flips != u.size // 2 - 1]  # -0 and +0 are the two ends of the curve
-    a, b = _itp_brackets(residual, u[flips], u[flips + 1], h[flips], h[flips + 1], 1e-12, 0.2 * (samples - 1))
+    # Each cell's ends where h < 0 and h > 0, in theta; none is s = 0, where h = sigma(D) >= 0 as at 2^-1074.
+    ends = u[np.where(h[flips] > 0.0, [flips + 1, flips], [flips, flips + 1])]
+    theta = np.copysign(np.log(np.abs(ends)) - np.log1p(-np.abs(ends)), -ends)
+    theta = _newton_roots(lambda th: _ridgeline_log_residual(halves, th), *theta, 4e-12)
     middle = [0.5] * int(h[0] * h[-1] < 0)  # t = 1/2 is sampled by both halves: a sign change there
-    roots = np.concatenate([u[h == 0.0], 0.5 * (a + b), middle])
+    roots = np.concatenate([u[h == 0.0], _signed_weight(theta), middle])
     seeds = _on_halves(halves, _RidgelineHalf.points, roots, mix.dim)
     scale = _default_scale(mix)
     pol = _ascend_batch(mix, seeds, AscentOptions(), scale, np.ones(roots.size, dtype=bool))

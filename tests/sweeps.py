@@ -14,11 +14,16 @@ mixture of the same index have the same weight.
 
 Q is the QR factor of an N(0, 1) d x d draw, its column signs set so
 that diag R > 0.
+
+``census`` is the Morse census of a list of critical points, and
+``census_sweep`` counts the mixtures of a family on which the k = 2
+oracle's census holds.
 """
 
 import numpy as np
 
 from gmmodes.mixture import make_mixture
+from gmmodes.modefinder import ridgeline_oracle_k2
 
 
 def _rotation(rng, d):
@@ -52,3 +57,23 @@ def needle_pair(i: int):
     ev = np.array([1.0 / ratio] + [1.0] * (d - 1))
     covs = [(Q * ev) @ Q.T for Q in (_rotation(rng, d) for _ in range(2))]
     return _pair(weight, means, covs)
+
+
+def census(points, d):
+    """sum over critical points of (-1)^(d - s), s = number of negative
+    Hessian eigenvalues; 1 (the Euler characteristic of R^d) for a complete
+    list of non-degenerate critical points."""
+    assert not any(p.kind == "degenerate" for p in points)
+    return sum((-1) ** (d - int(np.sum(p.hessian_eigenvalues < 0))) for p in points)
+
+
+def census_sweep(pair, n: int):
+    """(held, failed) over the first n mixtures of ``pair`` (``needle_pair``
+    or ``spectrum_pair``): how many have an oracle census of 1, and the
+    indices of the others."""
+    failed = []
+    for i in range(n):
+        mix = pair(i)
+        if census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) != 1:
+            failed.append(i)
+    return n - len(failed), failed

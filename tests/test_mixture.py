@@ -29,6 +29,7 @@ from gmmodes.mixture import (
     save_mixture,
 )
 from gmmodes.modefinder import default_starts
+from sweeps import needle_pair, spectrum_pair
 
 
 def cross_mixture():
@@ -320,6 +321,23 @@ def test_kernel_hessian_is_exactly_symmetric():
     lo, hi = scen.search_box
     H = derivatives(scen.mixture, rng.uniform(lo, hi, size=(200, 2))).hessian_over_density
     assert np.array_equal(H, np.swapaxes(H, 1, 2))
+
+
+def test_derivatives_alone_match_a_batch():
+    # BLAS and einsum round a lone column differently, so a row alone must
+    # still get the bits it gets in a batch: near the gradient tolerance a
+    # verdict would otherwise depend on what a point is batched with.
+    rng = np.random.default_rng(15)
+    for i in range(100):
+        for mix in (needle_pair(i), spectrum_pair(i)):
+            x = mix.means[rng.integers(2)] + rng.normal(size=mix.dim)
+            alone = derivatives(mix, x[None, :])
+            for m in (2, 7):
+                batch = derivatives(mix, np.repeat(x[None, :], m, axis=0))
+                assert alone.log_density[0] == batch.log_density[0]
+                assert np.array_equal(alone.responsibilities[:, 0], batch.responsibilities[:, 0])
+                assert np.array_equal(alone.grad_over_density[0], batch.grad_over_density[0])
+                assert np.array_equal(alone.hessian_over_density[0], batch.hessian_over_density[0])
 
 
 def test_kernel_peak_memory():

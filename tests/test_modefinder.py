@@ -24,8 +24,12 @@ from gmmodes.mixture import Mixture, affine_transform, derivatives, make_mixture
 from gmmodes import modefinder
 from gmmodes.modefinder import (
     AscentOptions,
-    _itp_brackets,
+    _newton_roots,
+    _ridgeline_halves,
     _ridgeline_k2,
+    _ridgeline_log_residual,
+    _ridgeline_residual,
+    _signed_weight,
     ascend,
     _halton,
     default_starts,
@@ -35,7 +39,7 @@ from gmmodes.modefinder import (
     ridgeline_point,
     verify_ridgeline_membership,
 )
-from sweeps import needle_pair, spectrum_pair
+from sweeps import census, census_sweep, needle_pair, spectrum_pair
 
 
 def random_two_component(rng, d):
@@ -256,14 +260,16 @@ def test_product_ascent_work_bound(monkeypatch, seed, plain_calls):
     assert rep.mode_count == scen.expected_modes and rep.starts_converged == len(starts)
     assert 0 < len(calls) <= 200 < plain_calls
     assert len(calls) <= 60
-    # One call per iteration, a rejected trial retried in the next: 32 and
-    # 24 calls, where a repair call in the same iteration needed 46 and 38.
-    assert len(calls) <= {0: 32, 1: 24}[seed]
+    # One call per iteration, a rejected trial retried in the next, and none
+    # to confirm a converged polish: 31 and 23 calls, where a repair call in
+    # the same iteration needed 46 and 38, and the confirming call 32 and 24.
+    assert len(calls) <= {0: 31, 1: 23}[seed]
 
 
 def test_catalog_ascent_work_bound(monkeypatch):
-    # The catalog as gmmodes verify runs it, at Halton seed 0: 151
-    # derivative calls, where a repair call in the same iteration needed 199.
+    # The catalog as gmmodes verify runs it, at Halton seed 0: 140
+    # derivative calls, where a repair call in the same iteration needed 199
+    # and a call to confirm each converged polish 151.
     calls, derivatives = [], modefinder.derivatives
 
     def counted(mix, X):
@@ -275,7 +281,7 @@ def test_catalog_ascent_work_bound(monkeypatch):
         starts = default_starts(scen, budget=max(500, 250 * scen.mixture.k), seed=0)
         rep = find_critical_points(scen.mixture, starts, search_box=scen.search_box)
         assert scen.expected_modes in (None, rep.mode_count)
-    assert 0 < len(calls) <= 151
+    assert 0 < len(calls) <= 140
 
 
 # ----------------------------------------------------------------------
@@ -539,8 +545,9 @@ def test_driver_identical_to_sequential_ascend(scenario, starts):
 )
 def test_one_derivatives_call_per_iteration(monkeypatch, scenario, starts):
     # One kernel call at the starts, then one per iteration over the trial
-    # points: a rejected trial is retried in the next iteration, not by a
-    # further call in the same one.
+    # points of the rows that go on: a rejected trial is retried in the next
+    # iteration, not by a further call in the same one, and the last
+    # iteration only ends rows, so it makes none.
     calls = {"derivatives": 0, "_newton_step": 0}
     for name in calls:
         def counted(*args, fn=getattr(modefinder, name), name=name):
@@ -549,7 +556,7 @@ def test_one_derivatives_call_per_iteration(monkeypatch, scenario, starts):
 
         monkeypatch.setattr(modefinder, name, counted)
     find_critical_points(scenario.mixture, starts(scenario), search_box=scenario.search_box)
-    assert calls["derivatives"] == calls["_newton_step"] + 1
+    assert calls["derivatives"] == calls["_newton_step"]
 
 
 def test_truncated_climb_of_a_row_does_not_depend_on_its_batch(monkeypatch):
@@ -924,6 +931,24 @@ def test_oracle_matches_multistart_sample():
             assert min(np.linalg.norm(m.location - p.location) for p in o_modes) <= rep.dedup_radius
 
 
+def test_oracle_polish_makes_one_kernel_call(monkeypatch):
+    # Newton in theta leaves each root a critical point to rounding, and a
+    # polishing row within tolerance whose next step would not move it ends
+    # without a further call: one derivatives call per oracle, at the seeds.
+    calls, derivatives = [], modefinder.derivatives
+
+    def counted(mix, X):
+        calls.append(len(X))
+        return derivatives(mix, X)
+
+    monkeypatch.setattr(modefinder, "derivatives", counted)
+    rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
+    for _ in range(25):
+        calls.clear()
+        ridgeline_oracle_k2(random_two_component(rng, int(rng.integers(1, 4))), samples=4000)
+        assert len(calls) == 1
+
+
 def test_oracle_requires_two_components_invalid_parameter():
     with pytest.raises(InvalidParameter):
         ridgeline_oracle_k2(duistermaat_triangle(0.72).mixture)
@@ -991,21 +1016,13 @@ def test_ridgeline_curve_matches_ridgeline_point():
             assert np.max(np.abs(xi - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
 
 
-def _census(points, d):
-    """sum over critical points of (-1)^(d - s), s = number of negative
-    Hessian eigenvalues; 1 (the Euler characteristic of R^d) for a complete
-    list of non-degenerate critical points."""
-    assert not any(p.kind == "degenerate" for p in points)
-    return sum((-1) ** (d - int(np.sum(p.hessian_eigenvalues < 0))) for p in points)
-
-
 def test_oracle_census_identity():
     cases = [cross_example().mixture, univariate_pair(0, 1, 2.1, 1, 0.5).mixture]
     rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
     for _ in range(25):
         cases.append(random_two_component(rng, int(rng.integers(1, 4))))
     for mix in cases:
-        assert _census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) == 1
+        assert census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) == 1
 
 
 def test_oracle_finds_the_middle_root_of_a_mirrored_pair():
@@ -1019,25 +1036,11 @@ def test_oracle_finds_the_middle_root_of_a_mirrored_pair():
         C, mu = A @ A.T + 0.3 * np.eye(d), np.eye(d)[0] * rng.uniform(0.5, 3.0)
         mix = make_mixture([0.5, 0.5], [mu, R @ mu], [C, R @ C @ R])
         points = ridgeline_oracle_k2(mix, samples=4000)
-        assert _census(points, d) == 1
+        assert census(points, d) == 1
         assert any(abs(p.location[0]) <= 1e-12 for p in points)
 
 
-def _oracle_residual(monkeypatch, mix):
-    """The function ridgeline_oracle_k2 brackets, in its signed weight u."""
-    seen = []
-
-    def spy(f, *args):
-        seen.append(f)
-        return _itp_brackets(f, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(modefinder, "_itp_brackets", spy)
-        ridgeline_oracle_k2(mix, samples=4000)
-    return seen[0]
-
-
-def test_closed_form_residual_matches_kernel(monkeypatch):
+def test_closed_form_residual_matches_kernel():
     # The oracle's residual at u = t (t <= 1/2) and u = -(1 - t) is the
     # kernel's r_1(x*(t)) - t on the 4000-point grid, to rounding, with the
     # same signs.
@@ -1051,7 +1054,7 @@ def test_closed_form_residual_matches_kernel(monkeypatch):
             cases += [(_anisotropic_pair(rng, d, ratio), 4e-14) for _ in range(3)]
     for mix, tol in cases:
         kernel = mix.responsibilities(_ridgeline_k2(mix)(t))[0] - t
-        closed = _oracle_residual(monkeypatch, mix)(u)
+        closed = _ridgeline_residual(_ridgeline_halves(mix), u)
         assert np.max(np.abs(closed - kernel)) <= tol
         assert np.array_equal(np.sign(closed), np.sign(kernel))
 
@@ -1066,43 +1069,34 @@ def test_oracle_resolves_a_pair_below_the_first_grid_cell():
     low = sorted((w, p.kind_label) for w, p in zip(weights, points) if w < 1.0 / 3999)
     assert [kind for _, kind in low] == ["mode", "saddle(1)"]
     assert low[0][0] < 1e-11
-    assert _census(points, mix.dim) == 1
+    assert census(points, mix.dim) == 1
 
 
 def test_oracle_census_on_the_spectrum_sweep():
     # Covariance ratios up to 1e12 with geometric spectra (tests/sweeps.py):
     # the census is complete on every mixture.
-    for i in range(200):
-        assert _census(ridgeline_oracle_k2(spectrum_pair(i), samples=4000), 1 + i % 3) == 1
+    assert census_sweep(spectrum_pair, 200) == (200, [])
 
 
 def test_oracle_census_on_the_needle_sweep():
     # Crossing needles up to a covariance ratio of 1e12 (tests/sweeps.py).
     # Where a polish stalls above the gradient tolerance the oracle drops
-    # that point, so the census holds on 58 of the first 100, not all.
-    held = sum(_census(ridgeline_oracle_k2(needle_pair(i), samples=4000), 2 + i % 2) == 1 for i in range(100))
+    # that point, so the census holds on 59 of the first 100, not all.
+    held, _ = census_sweep(needle_pair, 100)
     assert held >= 58
 
 
-def test_oracle_brackets_sign_of_log_density_slope(monkeypatch):
+def test_oracle_brackets_sign_of_log_density_slope():
     """The function the oracle brackets has the sign of d log f(x*(t)) / dt,
     checked on the 4000-point grid against a centred finite difference
     wherever that difference is well above its own error (its change when
     the step doubles, plus rounding)."""
-    bracketed = []
-
-    def spy(f, *args):
-        bracketed.append(f)
-        return _itp_brackets(f, *args)
-
-    monkeypatch.setattr(modefinder, "_itp_brackets", spy)
     cases = [cross_example().mixture, univariate_pair(0, 1, 2.1, 1, 0.5).mixture]
     rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
     for _ in range(25):
         cases.append(random_two_component(rng, int(rng.integers(1, 4))))
     t, h = np.linspace(0.0, 1.0, 4000)[1:-1], 1e-6
     for mix in cases:
-        ridgeline_oracle_k2(mix, samples=4000)
         curve = _ridgeline_k2(mix)
         log_f = lambda s: mix.log_density(curve(s))
         slope = (log_f(t + h) - log_f(t - h)) / (2 * h)
@@ -1111,63 +1105,98 @@ def test_oracle_brackets_sign_of_log_density_slope(monkeypatch):
         clear = np.abs(slope) > 100 * err
         assert np.count_nonzero(clear) >= 0.99 * t.size
         u = np.where(t <= 0.5, t, t - 1.0)  # the oracle's signed weight of x*(t)
-        assert np.array_equal(np.sign(bracketed.pop()(u)[clear]), np.sign(slope[clear]))
+        residual = _ridgeline_residual(_ridgeline_halves(mix), u)
+        assert np.array_equal(np.sign(residual[clear]), np.sign(slope[clear]))
 
 
-def test_itp_brackets_on_known_roots():
-    # f has roots at 1/3, 0.5 (hit exactly by the first regula-falsi point)
-    # and 0.9; the brackets are grid cells of spacing 1/3999.
+def test_log_residual_slope_matches_centred_difference():
+    # G' = s (1 - s) D'(s) - 1, with D' in closed form, against a centred
+    # difference of G in theta = log(t / (1 - t)) on both halves, wherever
+    # that difference is well above its own error.
+    theta, h = np.linspace(-40.0, 40.0, 801), 1e-5
+    rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
+    cases = [random_two_component(rng, int(rng.integers(1, 4))) for _ in range(25)]
+    for d in (1, 2, 3, 4):
+        for ratio in (1e3, 1e6, 1e9):
+            rng = np.random.default_rng(int(100 * d + math.log10(ratio)))
+            cases += [_anisotropic_pair(rng, d, ratio) for _ in range(3)]
+    for mix in cases:
+        G = lambda th: _ridgeline_log_residual(_ridgeline_halves(mix), th)[0]
+        value, slope = _ridgeline_log_residual(_ridgeline_halves(mix), theta)
+        diff = (G(theta + h) - G(theta - h)) / (2 * h)
+        diff_2h = (G(theta + 2 * h) - G(theta - 2 * h)) / (4 * h)
+        err = np.abs(diff - diff_2h) + 1e-15 * (1.0 + np.abs(value) + np.abs(theta)) / h
+        assert np.all(np.abs(slope - diff) <= 10 * err + 1e-9 * np.abs(slope))
+
+
+def test_newton_roots_on_known_roots():
+    # f has roots at 1/3 and 0.9 in grid cells of spacing 1/3999, one
+    # bracket with f falling, the other rising; an exact zero at the first
+    # iterate ends its bracket at once; and Newton steps from the flat
+    # tails of arctan leave their bracket and bisect.
     roots = np.array([1.0 / 3.0, 0.9])
     w = 1.0 / 3999
     calls = []
 
     def f(x):
         calls.append(x.size)
-        return np.where(x < 0.7, np.tan(3.0 * (x - roots[0])), np.expm1(40.0 * (x - roots[1])))
+        low = x < 0.7
+        y = np.where(low, -np.tan(3.0 * (x - roots[0])), np.expm1(40.0 * (x - roots[1])))
+        return y, np.where(low, -3.0 / np.cos(3.0 * (x - roots[0])) ** 2, 40.0 * np.exp(40.0 * (x - roots[1])))
 
     a0 = np.array([roots[0] - 0.3 * w, roots[1] - 0.9 * w])
-    a, b = _itp_brackets(f, a0, a0 + w, f(a0), f(a0 + w), 1e-12, 0.2 / w)
-    assert np.all(b - a <= 1e-12) and np.all(np.abs(0.5 * (a + b) - roots) <= 1e-12)
-    assert len(calls) - 1 <= math.ceil(math.log2(w / 1e-12)) + 1
+    x = _newton_roots(f, np.array([a0[0] + w, a0[1]]), np.array([a0[0], a0[1] + w]), 4e-12)
+    assert np.all(np.abs(x - roots) <= 1e-12) and np.all((a0 < x) & (x < a0 + w))
+    assert len(calls) <= math.ceil(math.log2(w / 1e-12)) + 1
 
-    a, b = _itp_brackets(
-        lambda x: x - 0.5, np.array([0.25]), np.array([0.75]), np.array([-0.25]), np.array([0.25]), 1e-12, 0.4
-    )
-    assert a[0] == b[0] == 0.5
+    x = _newton_roots(lambda x: (x - 0.5, np.ones_like(x)), np.array([0.25]), np.array([0.75]), 4e-12)
+    assert x[0] == 0.5
+
+    steps = []
+
+    def arctan(x):
+        steps.append(x.copy())
+        return np.arctan(50.0 * (x - 0.1)), 50.0 / (1.0 + (50.0 * (x - 0.1)) ** 2)
+
+    x = _newton_roots(arctan, np.array([-2.0]), np.array([3.0]), 4e-12)
+    assert abs(x[0] - 0.1) <= 1e-12
+    assert steps[1][0] == 0.5 * (-2.0 + steps[0][0])  # the first Newton step left [-2, 0.5]: bisected
 
 
-def test_oracle_itp_contract(monkeypatch):
-    """Every bracket the oracle narrows ends at most 1e-12 wide and still
-    brackets a sign change of the values the search saw, or closes on an
-    exact zero, within bisection's evaluation count plus one."""
+def test_oracle_newton_contract(monkeypatch):
+    """Every root the oracle refines lies inside its sign-change cell; there
+    r_1(x*(t)) - t changes sign within 1e-12 of it in t or is exactly 0;
+    and one call evaluates G at most bisection's count of times plus one."""
     seen = []
 
-    def spy(f, a, b, fa, fb, width, kappa1):
-        values = dict(zip(np.concatenate([a, b]), np.concatenate([fa, fb])))
+    def spy(f, neg, pos, tol):
         calls = []
 
-        def recorded(x):
-            y = f(x)
-            values.update(zip(x, y))
+        def counted(x):
             calls.append(x.size)
-            return y
+            return f(x)
 
-        out = _itp_brackets(recorded, a, b, fa, fb, width, kappa1)
-        seen.append((np.array(a), np.array(b), out, values, len(calls)))
-        return out
+        roots = _newton_roots(counted, neg, pos, tol)
+        seen.append((neg, pos, roots, len(calls)))
+        return roots
 
-    monkeypatch.setattr(modefinder, "_itp_brackets", spy)
+    monkeypatch.setattr(modefinder, "_newton_roots", spy)
     rng = np.random.default_rng(10)
     mixes = [cross_example().mixture] + [random_two_component(rng, int(rng.integers(1, 4))) for _ in range(10)]
+    cells = 0
     for mix in mixes:
         ridgeline_oracle_k2(mix, samples=4000)
-    assert sum(a0.size for a0, *_ in seen) >= len(mixes)
-    for a0, b0, (a, b), values, calls in seen:
-        assert np.all(b - a <= 1e-12) and np.all((a0 <= a) & (b <= b0))
-        for lo, hi in zip(a, b):
-            assert lo == hi or values[lo] * values[hi] < 0
-        if a0.size:
-            assert calls <= math.ceil(math.log2(np.max(b0 - a0) / 1e-12)) + 1
+        neg, pos, roots, calls = seen.pop()
+        cells += roots.size
+        assert np.all((roots - neg) * (roots - pos) <= 0.0)
+        ends, u = _signed_weight(np.stack([neg, pos])), _signed_weight(roots)
+        lo, hi = ends.min(axis=0), ends.max(axis=0)
+        residual = lambda v: _ridgeline_residual(_ridgeline_halves(mix), v)
+        below, at, above = residual(np.maximum(u - 1e-12, lo)), residual(u), residual(np.minimum(u + 1e-12, hi))
+        assert np.all((at == 0.0) | (below * above < 0.0))
+        if roots.size:
+            assert calls <= math.ceil(math.log2(np.max(hi - lo) / 1e-12)) + 1
+    assert cells >= len(mixes)
 
 
 def test_ridgeline_membership():
