@@ -154,15 +154,19 @@ def cmd_modes(args) -> int:
     if args.format == "text":
         # The summary line is the text document.
         _write(summary + "\n", args.output_path)
-        return 0
-    # A document written to stdout must be all of stdout, so the summary
-    # then goes to stderr.
-    print(summary, file=sys.stderr if args.output_path in (None, "-") else sys.stdout)
-    if args.format == "csv":
-        _write(report.to_csv(), args.output_path)
     else:
-        doc = _envelope(args, {"report": report.to_dict()})
-        _write(json.dumps(doc, indent=2) + "\n", args.output_path)
+        # A document written to stdout must be all of stdout, so the summary
+        # then goes to stderr.
+        print(summary, file=sys.stderr if args.output_path in (None, "-") else sys.stdout)
+        if args.format == "csv":
+            _write(report.to_csv(), args.output_path)
+        else:
+            doc = _envelope(args, {"report": report.to_dict()})
+            _write(json.dumps(doc, indent=2) + "\n", args.output_path)
+    if report.mode_count == 0:  # every mixture has a mode, so this report missed it
+        converged = f"{report.starts_converged} of {report.starts_used} starts converged"
+        print(f"error: no start converged to a mode ({converged})", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -261,6 +265,8 @@ def cmd_verify(args) -> int:
         else:
             ok = report.mode_count == scen.expected_modes
             verdict = "pass" if ok else "FAIL"
+        if report.mode_count == 0:
+            ok, verdict = False, "FAIL(no-mode)"
         if not report.bound_check.mode_count_within_upper:
             ok, verdict = False, "FAIL(upper-bound)"
         failures += 0 if ok else 1

@@ -697,7 +697,7 @@ class _RidgelineHalf(NamedTuple):
         return self.mu_b + (s * self.e / den) @ self.B.T
 
     def log_ratio(self, s: np.ndarray, slope: bool = False) -> np.ndarray:
-        """D = log(r_a / r_b) at x*(s) (n,), or [D, dD / ds] (n, 2) with ``slope``:
+        """D = log(r_a / r_b) at x*(s) (n,), or [D, s (1 - s) dD / ds] (n, 2) with ``slope``:
         W_a (x* - mu_a) = -Y (1 - s) c / den and W_b (x* - mu_b) = V s S c / den,
         so no point and no density is formed. D' sums q = c^2 / den^2 and q (lam - 1) / den."""
         inv = 1.0 / (s * self.lam[:, None] + (1.0 - s))
@@ -707,7 +707,8 @@ class _RidgelineHalf(NamedTuple):
         if not slope:
             return D
         dq_a, dq_b = self.sq @ (q * inv * (self.lam - 1.0)[:, None])
-        return np.stack([D, (1.0 - s) * sq_a + s * sq_b + (1.0 - s) ** 2 * dq_a - s * s * dq_b], axis=1)
+        dD = (1.0 - s) * sq_a + s * sq_b + (1.0 - s) ** 2 * dq_a - s * s * dq_b
+        return np.stack([D, s * (1.0 - s) * dD], axis=1)
 
 
 def _ridgeline_halves(mix: Mixture) -> list[_RidgelineHalf]:
@@ -732,51 +733,42 @@ def _ridgeline_halves(mix: Mixture) -> list[_RidgelineHalf]:
     return halves
 
 
-def _on_halves(halves: list[_RidgelineHalf], f, u: np.ndarray, *shape: int) -> np.ndarray:
-    """f(half, s) at the signed weights u: s = u on the first half where u is
-    +0 or above, s = -u on the second where u is -0 or below."""
-    neg = np.signbit(u)
-    out = np.empty(u.shape + shape)
-    for half, rows in zip(halves, (~neg, neg)):
+def _on_halves(halves: list[_RidgelineHalf], f, theta: np.ndarray, *shape: int) -> np.ndarray:
+    """f(half, s) at theta = log(t / (1 - t)): s = t on the first half, where theta is -0
+    or below, else s = 1 - t; either way s = 1 / (1 + e^|theta|), and 0 at theta = -+inf."""
+    first, e = np.signbit(theta), np.exp(-np.abs(theta))
+    s = e / (1.0 + e)
+    out = np.empty(theta.shape + shape)
+    for half, rows in zip(halves, (first, ~first)):
         if rows.any():
-            out[rows] = f(half, np.abs(u[rows]))
+            out[rows] = f(half, s[rows])
     return out
 
 
 def _ridgeline_k2(mix: Mixture):
     """Closed-form ridgeline of a 2-component mixture: t -> x*(t) for
     alpha = (t, 1 - t), vectorized, from the first of
-    :func:`_ridgeline_halves` up to t = 1/2 (s = t), then the second."""
+    :func:`_ridgeline_halves` up to t = 1/2 (s = t), then the second (s = 1 - t)."""
     halves = _ridgeline_halves(mix)
 
     def curve(t):
         t = np.asarray(t, dtype=float)
-        return _on_halves(halves, _RidgelineHalf.points, np.where(t <= 0.5, t, -(1.0 - t)), mix.dim)
+        out, first = np.empty(t.shape + (mix.dim,)), t <= 0.5
+        out[first], out[~first] = halves[0].points(t[first]), halves[1].points(1.0 - t[~first])
+        return out
 
     return curve
 
 
-def _ridgeline_residual(halves: list[_RidgelineHalf], u: np.ndarray) -> np.ndarray:
-    """r_1(x*(t)) - t at the signed weights u: sigma(D) - s, or s - sigma(D) on the second half."""
-    D = _on_halves(halves, _RidgelineHalf.log_ratio, u)
-    e = np.exp(-np.abs(D))
-    r = np.where(D >= 0.0, 1.0, e) / (1.0 + e)
-    return np.where(np.signbit(u), np.abs(u) - r, r - u)
-
-
-def _signed_weight(theta: np.ndarray) -> np.ndarray:
-    """u at theta = log(t / (1 - t)): t where theta is -0 or below, t - 1 elsewhere."""
-    e = np.exp(-np.abs(theta))
-    return np.copysign(e / (1.0 + e), -theta)
-
-
-def _ridgeline_log_residual(halves: list[_RidgelineHalf], theta: np.ndarray):
-    """G = log(r_1 / r_2) - theta, which has the sign of r_1 - t, and G' at x*(t),
-    theta = log(t / (1 - t)). On a half of weight s, G = +-F and G' = F' for
-    F = D(s) - log(s / (1 - s)), F' = s (1 - s) D'(s) - 1."""
-    u = _signed_weight(theta)
-    D, slope = _on_halves(halves, lambda half, s: half.log_ratio(s, True), u, 2).T
-    return np.where(np.signbit(u), -D, D) - theta, np.abs(u) * (1.0 - np.abs(u)) * slope - 1.0
+def _ridgeline_log_residual(halves: list[_RidgelineHalf], theta: np.ndarray, slope: bool = True):
+    """G = log(r_1 / r_2) - theta at x*(t), theta = log(t / (1 - t)), which has the
+    sign of r_1 - t, and with ``slope`` G' too. On a half of weight s, G = +-F and
+    G' = F' for F = D(s) - log(s / (1 - s)), F' = s (1 - s) D'(s) - 1."""
+    if not slope:
+        D = _on_halves(halves, _RidgelineHalf.log_ratio, theta)
+        return np.where(np.signbit(theta), D, -D) - theta
+    D, dD = _on_halves(halves, lambda half, s: half.log_ratio(s, True), theta, 2).T
+    return np.where(np.signbit(theta), D, -D) - theta, dD - 1.0
 
 
 def _newton_roots(f, neg: np.ndarray, pos: np.ndarray, tol: float) -> np.ndarray:
@@ -796,48 +788,48 @@ def _newton_roots(f, neg: np.ndarray, pos: np.ndarray, tol: float) -> np.ndarray
 
 
 @functools.lru_cache(maxsize=4)
-def _signed_weights(samples: int) -> np.ndarray:
-    """The oracle's samples u = -s on the second half, then u = s on the first (read-only):
-    the uniform grid weights below 1/2, 1/2 and s = 2^-j, j = 12..1074."""
+def _theta_grid(samples: int) -> np.ndarray:
+    """The oracle's theta samples, increasing (read-only), at each half's uniform grid weights
+    s < 1/2, s = 2^-j (j = 12..1074) and s = 1/2: theta = -0 on the first half, +0 on the second."""
     t = np.linspace(0.0, 1.0, samples)
-    s = np.sort(np.concatenate([t[t < 0.5], [0.5], np.ldexp(1.0, -np.arange(12, 1075))]))
-    u = np.concatenate([-s[::-1], s])
-    u.flags.writeable = False
-    return u
+    s = np.sort(np.concatenate([t[(0.0 < t) & (t < 0.5)], np.ldexp(1.0, -np.arange(12, 1075))]))
+    theta = np.append(np.log(s) - np.log1p(-s), -0.0)
+    theta = np.concatenate([theta, -theta[::-1]])
+    theta.flags.writeable = False
+    return theta
 
 
 def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000):
     """Exhaustively enumerate the critical points of a 2-component mixture.
 
     Every critical point lies on the ridgeline x*(t), t in [0, 1] (Ray &
-    Lindsay, Ann. Statist. 2005), at a zero of r_1(x*(t)) - t, which has
-    the sign of d log f(x*(t)) / dt. Each half is searched in its own weight
-    s (:func:`_ridgeline_halves`), where the residual r_a - s = sigma(D) - s,
-    D = log(r_a / r_b) in closed form, takes O(d) flops and does not
-    underflow. It is sampled at :func:`_signed_weights`: the signed weight
-    u keeps both ends representable, and s = 2^-j brackets a root at any
-    weight down to 2^-1074 unless a second root lies within a factor of 2
-    of it (a mode-saddle pair); a smaller weight leaves sigma(D) = 0 at
-    s = 0, an exact zero. Every sign change is refined at once by Newton in
-    theta = log(t / (1 - t)) (:func:`_ridgeline_log_residual`) to a step of
-    4e-12, so 1e-12 in t; the points x*(t) are polished by the shared ascent
-    (damped Newton, which finds saddles too) and deduplicated.
+    Lindsay, Ann. Statist. 2005), at a zero of G = log(r_1 / r_2) - theta,
+    theta = log(t / (1 - t)) (:func:`_ridgeline_log_residual`), which has the
+    sign of r_1(x*(t)) - t and so of d log f(x*(t)) / dt. Each half is taken
+    in its own weight s (:func:`_ridgeline_halves`), where D = log(r_a / r_b)
+    takes O(d) flops in closed form and does not underflow. G is sampled on
+    :func:`_theta_grid`, whose s = 2^-j bracket a root at any weight down to
+    2^-1074 unless a second root lies within a factor of 2 of it (a
+    mode-saddle pair). An exact zero is a root. G -> +inf as t -> 0 and -inf
+    as t -> 1, so a negative first sample or a positive last one is a root
+    past the grid, seeded at that mean (theta = -+inf). Every sign change,
+    the zero-width cell from theta = -0 to +0 (t = 1/2 on each half)
+    included, is refined at once by Newton in theta (:func:`_newton_roots`)
+    to a step of 4e-12, so 1e-12 in t; the points x*(t) are polished by the
+    shared ascent (damped Newton, which finds saddles too) and deduplicated.
     """
     if mix.k != 2:
         raise InvalidParameter(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
     if samples < 1000:
         raise TooFewSamples(f"need at least 1000 samples, got {samples}")
     halves = _ridgeline_halves(mix)
-    u = _signed_weights(samples)
-    h = _ridgeline_residual(halves, u)
-    flips = np.flatnonzero(np.sign(h[:-1]) * np.sign(h[1:]) < 0)
-    flips = flips[flips != u.size // 2 - 1]  # -0 and +0 are the two ends of the curve
-    # Each cell's ends where h < 0 and h > 0, in theta; none is s = 0, where h = sigma(D) >= 0 as at 2^-1074.
-    ends = u[np.where(h[flips] > 0.0, [flips + 1, flips], [flips, flips + 1])]
-    theta = np.copysign(np.log(np.abs(ends)) - np.log1p(-np.abs(ends)), -ends)
-    theta = _newton_roots(lambda th: _ridgeline_log_residual(halves, th), *theta, 4e-12)
-    middle = [0.5] * int(h[0] * h[-1] < 0)  # t = 1/2 is sampled by both halves: a sign change there
-    roots = np.concatenate([u[h == 0.0], _signed_weight(theta), middle])
+    theta = _theta_grid(samples)
+    G = _ridgeline_log_residual(halves, theta, slope=False)
+    flips = np.flatnonzero(np.sign(G[:-1]) * np.sign(G[1:]) < 0)
+    ends = theta[np.where(G[flips] > 0.0, [flips + 1, flips], [flips, flips + 1])]  # where G < 0, G > 0
+    roots = _newton_roots(lambda th: _ridgeline_log_residual(halves, th), *ends, 4e-12)
+    past = [-np.inf] * int(G[0] < 0.0) + [np.inf] * int(G[-1] > 0.0)
+    roots = np.concatenate([theta[G == 0.0], roots, past])
     seeds = _on_halves(halves, _RidgelineHalf.points, roots, mix.dim)
     scale = _default_scale(mix)
     pol = _ascend_batch(mix, seeds, AscentOptions(), scale, np.ones(roots.size, dtype=bool))

@@ -15,6 +15,12 @@ mixture of the same index have the same weight.
 Q is the QR factor of an N(0, 1) d x d draw, its column signs set so
 that diag R > 0.
 
+``oracle_k2_mixtures(seed)`` are the 46 mixtures the ``oracle_k2`` bench
+workload draws at that generator seed, in order, from one
+``default_rng(seed)``: d cycles 1, 2, 3; per mixture two covariances
+A A^T + 0.3 I with A N(0, 1), a weight U(0.15, 0.85) and means
+N(0, 1.5^2).
+
 ``census`` is the Morse census of a list of critical points, and
 ``census_sweep`` counts the mixtures of a family on which the k = 2
 oracle's census holds.
@@ -57,6 +63,17 @@ def needle_pair(i: int):
     ev = np.array([1.0 / ratio] + [1.0] * (d - 1))
     covs = [(Q * ev) @ Q.T for Q in (_rotation(rng, d) for _ in range(2))]
     return _pair(weight, means, covs)
+
+
+def oracle_k2_mixtures(seed: int):
+    rng = np.random.default_rng(seed)
+    mixes = []
+    for i in range(46):
+        d = 1 + i % 3
+        covs = [A @ A.T + 0.3 * np.eye(d) for A in (rng.normal(size=(d, d)) for _ in range(2))]
+        weight = float(rng.uniform(0.15, 0.85))
+        mixes.append(make_mixture([weight, 1 - weight], rng.normal(scale=1.5, size=(2, d)), covs))
+    return mixes
 
 
 def census(points, d):

@@ -1,7 +1,9 @@
 """End-to-end checks of the command-line interface."""
 
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,9 +11,11 @@ import numpy as np
 import pytest
 
 import gmmodes
-from gmmodes import bounds
+from gmmodes import bounds, cli
 from gmmodes.cli import main
-from gmmodes.mixture import make_mixture, save_mixture
+from gmmodes.constructions import product_of_triangles, scenario_from_metadata
+from gmmodes.mixture import affine_transform, make_mixture, save_mixture
+from gmmodes.modefinder import default_starts
 
 
 def run(capsys, *argv):
@@ -281,6 +285,40 @@ def test_construct_arrangement_metadata(tmp_path, capsys):
     assert len(meta["vertices"]) == 3
     assert len(meta["normals"]) == 3
     assert meta["genericity_margin"] >= 0.05
+
+
+def _mapped_product():
+    """product_of_triangles(2, 0.72) through M = Q diag(1, c^(1/3), c^(2/3), c),
+    c = 1e8, Q from default_rng(4), as in
+    test_singular_mean_shift_system_does_not_abort_the_batch: no start of a
+    100-start run converges to a mode."""
+    q, r = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))
+    M = (q * np.sign(np.diag(r))) @ np.diag(1e8 ** (np.arange(4) / 3))
+    return affine_transform(product_of_triangles(2, 0.72).mixture, M, np.zeros(4))
+
+
+def test_modes_without_a_mode_is_an_error(tmp_path, capsys):
+    # Every mixture has a mode: a report with none is still written, then
+    # the run ends with an error line and exit 1.
+    path = str(tmp_path / "mapped.json")
+    save_mixture(_mapped_product(), path)
+    code, out, err = run(capsys, "modes", path, "--starts", "100", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["report"]["mode_count"] == 0
+    summary, error = err.splitlines()
+    assert summary.startswith("modes=0 ")
+    assert re.fullmatch(r"error: no start converged to a mode \(\d+ of 100 starts converged\)", error)
+
+
+def test_verify_fails_a_scenario_without_a_mode(monkeypatch, capsys):
+    # A scenario whose run finds no mode fails even where it expects none.
+    # 100 starts instead of verify's 250 k keep the run short.
+    scen = dataclasses.replace(scenario_from_metadata(_mapped_product(), None), expected_modes=0)
+    monkeypatch.setattr(cli, "scenario_catalog", lambda: [scen])
+    monkeypatch.setattr(cli, "default_starts", lambda scen, budget, seed: default_starts(scen, 100, seed))
+    code, out, _ = run(capsys, "verify", "--seed", "0")
+    assert code == 1
+    assert out.split()[0] == "FAIL(no-mode)"
 
 
 def test_modes_reads_the_sidecar_beside_the_file_in_any_directory(tmp_path, capsys):

@@ -28,8 +28,6 @@ from gmmodes.modefinder import (
     _ridgeline_halves,
     _ridgeline_k2,
     _ridgeline_log_residual,
-    _ridgeline_residual,
-    _signed_weight,
     ascend,
     _halton,
     default_starts,
@@ -39,7 +37,7 @@ from gmmodes.modefinder import (
     ridgeline_point,
     verify_ridgeline_membership,
 )
-from sweeps import census, census_sweep, needle_pair, spectrum_pair
+from sweeps import census, census_sweep, needle_pair, oracle_k2_mixtures, spectrum_pair
 
 
 def random_two_component(rng, d):
@@ -1041,22 +1039,24 @@ def test_oracle_finds_the_middle_root_of_a_mirrored_pair():
 
 
 def test_closed_form_residual_matches_kernel():
-    # The oracle's residual at u = t (t <= 1/2) and u = -(1 - t) is the
-    # kernel's r_1(x*(t)) - t on the 4000-point grid, to rounding, with the
-    # same signs.
-    t = np.linspace(0.0, 1.0, 4000)
-    u = np.where(t <= 0.5, t, -(1.0 - t))
+    # The oracle's G = log(r_1 / r_2) - theta at theta = log(t / (1 - t)) has
+    # the sign of the kernel's r_1(x*(t)) - t on the interior of the
+    # 4000-point grid, and G + theta is the kernel's lt_0 - lt_1 at x*(t) to
+    # rounding.
+    t = np.linspace(0.0, 1.0, 4000)[1:-1]
+    theta = np.log(t) - np.log1p(-t)
     rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
-    cases = [(random_two_component(rng, int(rng.integers(1, 4))), 4e-15) for _ in range(25)]
+    cases = [random_two_component(rng, int(rng.integers(1, 4))) for _ in range(25)]
     for d in (1, 2, 3, 4):
         for ratio in (1.0, 1e3, 1e6, 1e9):
             rng = np.random.default_rng(int(100 * d + math.log10(ratio)))
-            cases += [(_anisotropic_pair(rng, d, ratio), 4e-14) for _ in range(3)]
-    for mix, tol in cases:
-        kernel = mix.responsibilities(_ridgeline_k2(mix)(t))[0] - t
-        closed = _ridgeline_residual(_ridgeline_halves(mix), u)
-        assert np.max(np.abs(closed - kernel)) <= tol
-        assert np.array_equal(np.sign(closed), np.sign(kernel))
+            cases += [_anisotropic_pair(rng, d, ratio) for _ in range(3)]
+    for mix in cases:
+        x = _ridgeline_k2(mix)(t)
+        lt, kernel = mix.log_terms(x), mix.responsibilities(x)[0] - t
+        G = _ridgeline_log_residual(_ridgeline_halves(mix), theta, slope=False)
+        assert np.all(np.abs(G + theta - (lt[0] - lt[1])) <= 1e-14 * (1.0 + np.max(np.abs(lt), axis=0)))
+        assert np.array_equal(np.sign(G), np.sign(kernel))
 
 
 def test_oracle_resolves_a_pair_below_the_first_grid_cell():
@@ -1070,6 +1070,27 @@ def test_oracle_resolves_a_pair_below_the_first_grid_cell():
     assert [kind for _, kind in low] == ["mode", "saddle(1)"]
     assert low[0][0] < 1e-11
     assert census(points, mix.dim) == 1
+
+
+def test_oracle_seeds_a_root_past_the_grid_at_its_mean():
+    # Means 40 apart: each mode lies at a weight of the other component
+    # below 2^-1074, so G < 0 at the first sample and > 0 at the last, and
+    # both roots are seeded at the means themselves.
+    points = ridgeline_oracle_k2(univariate_pair(0, 1, 40, 1, 0.5).mixture, samples=4000)
+    assert [(p.kind, float(p.location[0])) for p in points if p.kind == "mode"] == [("mode", 0.0), ("mode", 40.0)]
+    assert [p.kind for p in points].count("antimode") == 1 and census(points, 1) == 1
+    # A mode at a weight near 1e-288, deep in the 2^-j samples, polishes to its mean.
+    mix = make_mixture([0.3, 0.7], [[0, 0, 0], [30, -20, 5]], [np.eye(3), np.diag([2.0, 1.0, 0.5])])
+    points = ridgeline_oracle_k2(mix, samples=4000)
+    assert sorted(p.kind_label for p in points) == ["mode", "mode", "saddle(2)"]
+    assert any(p.kind == "mode" and np.array_equal(p.location, [30.0, -20.0, 5.0]) for p in points)
+    assert census(points, 3) == 1
+
+
+def test_oracle_census_on_the_bench_mixtures():
+    # The oracle_k2 bench mixtures at generator seeds 0-3 (tests/sweeps.py): 4 x 46.
+    mixes = [mix for seed in range(4) for mix in oracle_k2_mixtures(seed)]
+    assert sum(census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) == 1 for mix in mixes) == 184
 
 
 def test_oracle_census_on_the_spectrum_sweep():
@@ -1104,8 +1125,8 @@ def test_oracle_brackets_sign_of_log_density_slope():
         err = np.abs(slope - slope_2h) + 1e-15 * (1.0 + np.abs(log_f(t))) / h
         clear = np.abs(slope) > 100 * err
         assert np.count_nonzero(clear) >= 0.99 * t.size
-        u = np.where(t <= 0.5, t, t - 1.0)  # the oracle's signed weight of x*(t)
-        residual = _ridgeline_residual(_ridgeline_halves(mix), u)
+        theta = np.log(t) - np.log1p(-t)  # the oracle's coordinate of x*(t)
+        residual = _ridgeline_log_residual(_ridgeline_halves(mix), theta, slope=False)
         assert np.array_equal(np.sign(residual[clear]), np.sign(slope[clear]))
 
 
@@ -1165,8 +1186,8 @@ def test_newton_roots_on_known_roots():
 
 def test_oracle_newton_contract(monkeypatch):
     """Every root the oracle refines lies inside its sign-change cell; there
-    r_1(x*(t)) - t changes sign within 1e-12 of it in t or is exactly 0;
-    and one call evaluates G at most bisection's count of times plus one."""
+    G changes sign within 4e-12 of it in theta or is exactly 0; and one call
+    evaluates G at most bisection's count of times plus one."""
     seen = []
 
     def spy(f, neg, pos, tol):
@@ -1189,13 +1210,15 @@ def test_oracle_newton_contract(monkeypatch):
         neg, pos, roots, calls = seen.pop()
         cells += roots.size
         assert np.all((roots - neg) * (roots - pos) <= 0.0)
-        ends, u = _signed_weight(np.stack([neg, pos])), _signed_weight(roots)
-        lo, hi = ends.min(axis=0), ends.max(axis=0)
-        residual = lambda v: _ridgeline_residual(_ridgeline_halves(mix), v)
-        below, at, above = residual(np.maximum(u - 1e-12, lo)), residual(u), residual(np.minimum(u + 1e-12, hi))
+        # neg is the lower end where neg - pos is negative or -0: the zero-width
+        # t = 1/2 cell runs from theta = -0 on the first half to +0 on the second.
+        low = np.signbit(neg - pos)
+        lo, hi = np.where(low, neg, pos), np.where(low, pos, neg)
+        G = lambda th: _ridgeline_log_residual(_ridgeline_halves(mix), th, slope=False)
+        below, at, above = G(np.maximum(roots - 4e-12, lo)), G(roots), G(np.minimum(roots + 4e-12, hi))
         assert np.all((at == 0.0) | (below * above < 0.0))
         if roots.size:
-            assert calls <= math.ceil(math.log2(np.max(hi - lo) / 1e-12)) + 1
+            assert calls <= math.ceil(math.log2(np.max(hi - lo) / 4e-12)) + 1
     assert cells >= len(mixes)
 
 
