@@ -49,6 +49,7 @@ from .modefinder import (
     _ridgeline_k2,
     default_starts,
     find_critical_points,
+    ridgeline_oracle_k2,
 )
 
 # The scenarios of ``gmmodes construct``, each built from the parsed arguments.
@@ -265,6 +266,9 @@ def cmd_verify(args) -> int:
         else:
             ok = report.mode_count == scen.expected_modes
             verdict = "pass" if ok else "FAIL"
+        oracle = sum(p.kind == "mode" for p in ridgeline_oracle_k2(scen.mixture)) if scen.mixture.k == 2 else None
+        if oracle not in (None, report.mode_count):
+            ok, verdict = False, "FAIL(oracle)"
         if report.mode_count == 0:
             ok, verdict = False, "FAIL(no-mode)"
         if not report.bound_check.mode_count_within_upper:
@@ -272,7 +276,7 @@ def cmd_verify(args) -> int:
         failures += 0 if ok else 1
         print(
             f"{verdict:15s} {scen.name:42s} expected={scen.expected_modes} "
-            f"measured={report.mode_count} ({_summary_line(report)})"
+            f"measured={report.mode_count} {'' if oracle is None else f'oracle={oracle} '}({_summary_line(report)})"
         )
     return 1 if failures else 0
 

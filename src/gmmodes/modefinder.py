@@ -17,8 +17,8 @@ directions, and tends to the Newton step along flat and escaping ones as
 eta grows. Polishing is damped Newton, which also yields the Hessian used
 for classification; symmetric elimination of -Hess f / f decides
 concavity and gives the Newton step, and only saddles and near-singular
-Hessians go through eigh. The multistart driver, :func:`ascend` (a batch
-of one) and the k = 2 ridgeline oracle all run through that loop.
+Hessians go through eigh. The multistart driver and :func:`ascend` (a
+batch of one) run through that loop; the k = 2 ridgeline oracle needs none.
 
 The loop keeps its rows on the last axis, as the kernel computes them:
 points and gradients are (d, m), Hessians (d, d, m), responsibilities
@@ -323,9 +323,7 @@ def _newton_step(g: np.ndarray, h: np.ndarray, step_cap: float, polish: np.ndarr
     return step, concave
 
 
-def _ascend_batch(
-    mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float, polishing=None
-) -> _Endpoints:
+def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float) -> _Endpoints:
     """Ascend from every row of X at once: each row climbs, then polishes.
 
     Each iteration takes every active row's step from its current point,
@@ -347,8 +345,7 @@ def _ascend_batch(
     - Overrelaxation: eta starts at 1 and doubles, up to _OVERRELAX_CAP,
       after each mean-shift step accepted at full length.
     - Handover to polishing: ||grad f / f|| < 1e3 * gradient_tolerance, a
-      step below _STEP_TOLERANCE, or _MAX_CLIMBS climbs. Rows
-      marked in ``polishing`` start there.
+      step below _STEP_TOLERANCE, or _MAX_CLIMBS climbs.
     - Polishing: damped Newton, until a step below _STEP_TOLERANCE or
       _MAX_NEWTON_STEPS steps. A trial that more than doubles
       ||grad f / f|| is rejected and retried at 2^-h times the step, and
@@ -368,7 +365,7 @@ def _ascend_batch(
     d, n = x0.shape
     out = [x0, np.empty(n), np.empty(n), np.empty((d, d, n))]  # x, log f, ||grad f / f||, Hess
     rows = np.arange(n)
-    polish = np.zeros(n, dtype=bool) if polishing is None else np.array(polishing, dtype=bool)
+    polish = np.zeros(n, dtype=bool)
     steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
     stalled = np.zeros(n, dtype=bool)  # the last step was below _STEP_TOLERANCE
     eta = np.ones(n)  # overrelaxation of each row's mean-shift step
@@ -407,16 +404,17 @@ def _ascend_batch(
         new_norm = _row_norms(new[3])
         drop = ~polish & (new[1] < cur[1] - _MONOTONE_SLACK)
         worse = polish & (new_norm > 2.0 * g_norm)
-        settle = worse & (g_norm <= tol)
-        retake = drop & (newton | (eta > 1.0))
-        halve = (drop & ~retake & (halvings < 60)) | (worse & ~settle & (halvings < 30))
-        retry = retake | halve
-        stay = retry | settle
-        if stay.any():
+        retake = halve = np.zeros(rows.size, dtype=bool)
+        if (drop | worse).any():  # rare: without a rejection retry is all False
+            settle = worse & (g_norm <= tol)
+            retake = drop & (newton | (eta > 1.0))
+            halve = (drop & ~retake & (halvings < 60)) | (worse & ~settle & (halvings < 30))
+            stay = retake | halve | settle
             for a, b in zip(new, cur):
                 a[..., stay] = b[..., stay]
             new_norm[stay] = g_norm[stay]
-        eta[retake & ~newton] = 1.0
+            eta[retake & ~newton] = 1.0
+        retry = retake | halve
         barred = retry & (barred | (retake & newton))
         grow = ~retry & ~newton & (halvings == 0)
         np.copyto(eta, np.minimum(2.0 * eta, _OVERRELAX_CAP), where=grow)
@@ -815,8 +813,12 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000):
     past the grid, seeded at that mean (theta = -+inf). Every sign change,
     the zero-width cell from theta = -0 to +0 (t = 1/2 on each half)
     included, is refined at once by Newton in theta (:func:`_newton_roots`)
-    to a step of 4e-12, so 1e-12 in t; the points x*(t) are polished by the
-    shared ascent (damped Newton, which finds saddles too) and deduplicated.
+    to a step of 4e-12, so 1e-12 in t; roots closer than 8e-12 are one. Each
+    root is reported at x*(t), classified by G', which has the sign of
+    d^2 log f / dt^2 there: a mode where G' < 0, else a saddle of index d - 1
+    (antimode if d = 1), and degenerate at G' = 0. One derivative-kernel
+    call gives log f, the measured ||grad f / f|| and the Hessian
+    eigenvalues; ``converged`` is True, from the theta bracket.
     """
     if mix.k != 2:
         raise InvalidParameter(f"ridgeline oracle requires exactly 2 components, got {mix.k}")
@@ -829,11 +831,15 @@ def ridgeline_oracle_k2(mix: Mixture, samples: int = 4000):
     ends = theta[np.where(G[flips] > 0.0, [flips + 1, flips], [flips, flips + 1])]  # where G < 0, G > 0
     roots = _newton_roots(lambda th: _ridgeline_log_residual(halves, th), *ends, 4e-12)
     past = [-np.inf] * int(G[0] < 0.0) + [np.inf] * int(G[-1] > 0.0)
-    roots = np.concatenate([theta[G == 0.0], roots, past])
-    seeds = _on_halves(halves, _RidgelineHalf.points, roots, mix.dim)
-    scale = _default_scale(mix)
-    pol = _ascend_batch(mix, seeds, AscentOptions(), scale, np.ones(roots.size, dtype=bool))
-    return _distinct_critical_points(mix, pol, scale, 1e-5 * scale)
+    roots = np.sort(np.concatenate([theta[G == 0.0], roots, past]) + 0.0)
+    roots = roots[np.append(True, np.diff(roots) >= 8e-12)]  # t = 1/2 is sampled on both halves
+    x = _on_halves(halves, _RidgelineHalf.points, roots, mix.dim)
+    logf, _, g, h = derivatives(mix, x)
+    slope, eigs, d = _ridgeline_log_residual(halves, roots)[1], np.linalg.eigvalsh(h), mix.dim
+    kinds = ["mode" if s < 0.0 else ("saddle" if d > 1 else "antimode") if s > 0.0 else "degenerate" for s in slope]
+    return [CriticalPoint(x[i].copy(), float(logf[i]), float(np.linalg.norm(g[i])), eigs[i].copy(), kinds[i],
+                          d - 1 if kinds[i] == "saddle" else None, degenerate_hessian=kinds[i] == "degenerate")
+            for i in np.lexsort(x.T[::-1])]
 
 
 def verify_ridgeline_membership(mix: Mixture, cp: CriticalPoint) -> float:

@@ -21,9 +21,10 @@ workload draws at that generator seed, in order, from one
 A A^T + 0.3 I with A N(0, 1), a weight U(0.15, 0.85) and means
 N(0, 1.5^2).
 
-``census`` is the Morse census of a list of critical points, and
-``census_sweep`` counts the mixtures of a family on which the k = 2
-oracle's census holds.
+``census`` is the Morse census of a list of critical points,
+``hessian_kind`` the kind a point's Hessian eigenvalue signs give, and
+``census_sweep`` checks the k = 2 oracle's census and kinds over a list of
+mixtures.
 """
 
 import numpy as np
@@ -84,13 +85,23 @@ def census(points, d):
     return sum((-1) ** (d - int(np.sum(p.hessian_eigenvalues < 0))) for p in points)
 
 
-def census_sweep(pair, n: int):
-    """(held, failed) over the first n mixtures of ``pair`` (``needle_pair``
-    or ``spectrum_pair``): how many have an oracle census of 1, and the
-    indices of the others."""
-    failed = []
-    for i in range(n):
-        mix = pair(i)
-        if census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) != 1:
+def hessian_kind(point, d):
+    """The kind label the signs of point's Hessian eigenvalues give."""
+    neg, pos = int(np.sum(point.hessian_eigenvalues < 0)), int(np.sum(point.hessian_eigenvalues > 0))
+    if neg + pos < d:
+        return "degenerate"
+    return "mode" if neg == d else "antimode" if neg == 0 else f"saddle({neg})"
+
+
+def census_sweep(mixes):
+    """(held, failed, mismatched) over the 2-component mixtures mixes: how
+    many have an oracle census of 1, the indices of the others, and the
+    indices of those with a point whose kind_label is not its hessian_kind."""
+    failed, mismatched = [], []
+    for i, mix in enumerate(mixes):
+        points = ridgeline_oracle_k2(mix, samples=4000)
+        if census(points, mix.dim) != 1:
             failed.append(i)
-    return n - len(failed), failed
+        if any(p.kind_label != hessian_kind(p, mix.dim) for p in points):
+            mismatched.append(i)
+    return len(mixes) - len(failed), failed, mismatched

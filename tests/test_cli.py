@@ -274,6 +274,19 @@ def test_verify_filtered(capsys):
     lines = [l for l in out.splitlines() if l.strip()]
     assert len(lines) == 1
     assert lines[0].startswith("pass") and "cross" in lines[0]
+    # A k = 2 scenario is also counted by the ridgeline oracle.
+    assert " measured=3 oracle=3 (" in lines[0]
+
+
+def test_verify_fails_a_scenario_the_oracle_counts_otherwise(monkeypatch, capsys):
+    # The oracle is a second method: a count it does not confirm fails,
+    # while scenarios with k != 2 print no oracle count.
+    monkeypatch.setattr(cli, "ridgeline_oracle_k2", lambda mix: [])
+    code, out, _ = run(capsys, "verify", "--only", "cross", "--starts", "120")
+    assert code == 1
+    assert out.split()[0] == "FAIL(oracle)" and " measured=3 oracle=0 (" in out
+    code, out, _ = run(capsys, "verify", "--only", "duistermaat", "--starts", "120")
+    assert code == 0 and "oracle=" not in out
 
 
 def test_construct_arrangement_metadata(tmp_path, capsys):

@@ -578,30 +578,35 @@ def test_truncated_climb_of_a_row_does_not_depend_on_its_batch(monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
-    # The k = 2 oracle's batch of ridgeline roots, all polishing, with the
-    # two means appended as climbing rows. Each row ends as it does alone,
-    # whatever else the batch holds or has dropped.
-    batches, ascend_batch = [], modefinder._ascend_batch
+    # The k = 2 oracle's critical points, with the two means appended. Each
+    # root is within 1e3 gradient tolerances, so its row polishes from its
+    # first iteration, while the means climb. Each row ends as it does
+    # alone, whatever else the batch holds or has dropped.
+    opts, ascend_batch, newton_step = AscentOptions(), modefinder._ascend_batch, modefinder._newton_step
+    first_polish = []
 
-    def recorded(mix, X, opts, scale, polishing=None):
-        batches.append((mix, X, scale, polishing))
-        return ascend_batch(mix, X, opts, scale, polishing)
+    def recorded(g, h, step_cap, polish):
+        first_polish.append(polish.copy())
+        return newton_step(g, h, step_cap, polish)
 
-    monkeypatch.setattr(modefinder, "_ascend_batch", recorded)
+    rows = _count_eigh_rows(monkeypatch)
+    monkeypatch.setattr(modefinder, "_newton_step", recorded)
     for seed in range(20):
-        ridgeline_oracle_k2(random_pair_scenario(100 * d + seed, d).mixture)
-    opts = AscentOptions()
-    assert all(len(X) > 0 for _, X, _, _ in batches)  # every oracle call polished some roots
-    for mix, roots, scale, polishing in batches:
-        assert polishing is not None and np.all(polishing)
-        X, polishing = np.concatenate([roots, mix._means]), np.append(polishing, [False, False])
-        batch = ascend_batch(mix, X, opts, scale, polishing)
+        mix = random_pair_scenario(100 * d + seed, d).mixture
+        roots = np.array([p.location for p in ridgeline_oracle_k2(mix)])
+        X, scale = np.concatenate([roots, mix._means]), modefinder._default_scale(mix)
+        first_polish.clear()
+        batch = ascend_batch(mix, X, opts, scale)
+        assert np.all(first_polish[0][: len(roots)])
         for i in range(len(X)):
-            alone = ascend_batch(mix, X[i : i + 1], opts, scale, polishing[i : i + 1])
+            alone = ascend_batch(mix, X[i : i + 1], opts, scale)
             assert batch.converged[i] == alone.converged[0]
             assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
             kind = modefinder._classified(mix, batch, [i], [1], scale)[0].kind_label
             assert kind == modefinder._classified(mix, alone, [0], [1], scale)[0].kind_label
+    # Polishing rows at a saddle or antimode are not negative definite, so
+    # their Newton step still comes from eigh.
+    assert sum(rows) > 0
 
 
 def test_climbing_rows_that_drop_end_as_alone(monkeypatch):
@@ -878,18 +883,14 @@ def test_ridgeline_point_direct_solve():
     assert np.allclose(x, expect, atol=1e-10)
 
 
-def test_oracle_cross_five_critical_points(monkeypatch):
+def test_oracle_cross_five_critical_points():
     mix = cross_example().mixture
-    rows = _count_eigh_rows(monkeypatch)
     pts = ridgeline_oracle_k2(mix, samples=4000)
     kinds = sorted(p.kind for p in pts)
     assert len(pts) == 5
     assert kinds.count("mode") == 3
     assert kinds.count("saddle") == 2
     assert all(p.saddle_index == 1 for p in pts if p.kind == "saddle")
-    # Polishing rows at a saddle are not negative definite, so their Newton
-    # step still comes from eigh.
-    assert sum(rows) > 0
 
 
 def test_oracle_univariate_three():
@@ -902,6 +903,7 @@ def test_oracle_univariate_three():
 def test_oracle_identical_components():
     mix = make_mixture([0.5, 0.5], [[1.0], [1.0]], [[[1.0]], [[1.0]]])
     pts = ridgeline_oracle_k2(mix, samples=2000)
+    # G = -theta has its one root at t = 1/2, sampled as theta = -0 and +0.
     assert len(pts) == 1
     assert np.allclose(pts[0].location, [1.0], atol=1e-10)
 
@@ -929,22 +931,27 @@ def test_oracle_matches_multistart_sample():
             assert min(np.linalg.norm(m.location - p.location) for p in o_modes) <= rep.dedup_radius
 
 
-def test_oracle_polish_makes_one_kernel_call(monkeypatch):
-    # Newton in theta leaves each root a critical point to rounding, and a
-    # polishing row within tolerance whose next step would not move it ends
-    # without a further call: one derivatives call per oracle, at the seeds.
-    calls, derivatives = [], modefinder.derivatives
+def test_oracle_makes_one_kernel_call_and_no_polish(monkeypatch):
+    # The oracle reports its theta roots as they are: one derivatives call
+    # per oracle, at the roots, and no ascent, dedup or search scale.
+    calls = []
 
-    def counted(mix, X):
-        calls.append(len(X))
-        return derivatives(mix, X)
+    def counted(name):
+        original = getattr(modefinder, name)
 
-    monkeypatch.setattr(modefinder, "derivatives", counted)
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(modefinder, name, wrapper)
+
+    for name in ("derivatives", "_ascend_batch", "_distinct_critical_points", "_default_scale"):
+        counted(name)
     rng = np.random.default_rng(10)  # the mixtures of test_oracle_matches_multistart_sample
     for _ in range(25):
         calls.clear()
         ridgeline_oracle_k2(random_two_component(rng, int(rng.integers(1, 4))), samples=4000)
-        assert len(calls) == 1
+        assert calls == ["derivatives"]
 
 
 def test_oracle_requires_two_components_invalid_parameter():
@@ -1036,6 +1043,8 @@ def test_oracle_finds_the_middle_root_of_a_mirrored_pair():
         points = ridgeline_oracle_k2(mix, samples=4000)
         assert census(points, d) == 1
         assert any(abs(p.location[0]) <= 1e-12 for p in points)
+        # Rounding may give up to three sign changes around t = 1/2: one point.
+        assert len({p.location.tobytes() for p in points}) == len(points)
 
 
 def test_closed_form_residual_matches_kernel():
@@ -1089,22 +1098,20 @@ def test_oracle_seeds_a_root_past_the_grid_at_its_mean():
 
 def test_oracle_census_on_the_bench_mixtures():
     # The oracle_k2 bench mixtures at generator seeds 0-3 (tests/sweeps.py): 4 x 46.
-    mixes = [mix for seed in range(4) for mix in oracle_k2_mixtures(seed)]
-    assert sum(census(ridgeline_oracle_k2(mix, samples=4000), mix.dim) == 1 for mix in mixes) == 184
+    # Each point's kind is the one its Hessian's eigenvalue signs give.
+    assert census_sweep([mix for seed in range(4) for mix in oracle_k2_mixtures(seed)]) == (184, [], [])
 
 
 def test_oracle_census_on_the_spectrum_sweep():
     # Covariance ratios up to 1e12 with geometric spectra (tests/sweeps.py):
-    # the census is complete on every mixture.
-    assert census_sweep(spectrum_pair, 200) == (200, [])
+    # the census is complete and every kind is the Hessian's on every mixture.
+    assert census_sweep([spectrum_pair(i) for i in range(200)]) == (200, [], [])
 
 
 def test_oracle_census_on_the_needle_sweep():
-    # Crossing needles up to a covariance ratio of 1e12 (tests/sweeps.py).
-    # Where a polish stalls above the gradient tolerance the oracle drops
-    # that point, so the census holds on 59 of the first 100, not all.
-    held, _ = census_sweep(needle_pair, 100)
-    assert held >= 58
+    # Crossing needles up to a covariance ratio of 1e12 (tests/sweeps.py):
+    # the census is complete and every kind is the Hessian's on every mixture.
+    assert census_sweep([needle_pair(i) for i in range(1000)]) == (1000, [], [])
 
 
 def test_oracle_brackets_sign_of_log_density_slope():
