@@ -46,7 +46,9 @@ from .mixture import Mixture, mixture_to_dict
 from .modefinder import (
     AscentOptions,
     _checked_box,
-    _ridgeline_k2,
+    _on_halves,
+    _ridgeline_halves,
+    _RidgelineHalf,
     default_starts,
     find_critical_points,
     ridgeline_oracle_k2,
@@ -238,15 +240,13 @@ def cmd_ridgeline(args) -> int:
     if args.samples < 1:
         raise InvalidParameter(f"--samples must be >= 1, got {args.samples}")
     t = np.linspace(0.0, 1.0, args.samples)
-    x = _ridgeline_k2(mix)(t)
-    ld = mix.log_density(x)
+    with np.errstate(divide="ignore"):  # theta = log(t / (1 - t)) is -inf at t = 0 and +inf at t = 1
+        x = _on_halves(_ridgeline_halves(mix), _RidgelineHalf.points, np.log(t) - np.log1p(-t), mix.dim)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["t"] + [f"x_{i + 1}" for i in range(mix.dim)] + ["log_density"])
-    for i in range(len(t)):
-        writer.writerow(
-            [repr(float(t[i]))] + [repr(float(v)) for v in x[i]] + [repr(float(ld[i]))]
-        )
+    for ti, xi, li in zip(t, x, mix.log_density(x)):
+        writer.writerow([repr(float(v)) for v in (ti, *xi, li)])
     _write(out.getvalue(), args.output_path)
     return 0
 

@@ -248,9 +248,10 @@ def generic_arrangement(d: int, k: int, seed: int) -> HyperplaneArrangement:
     Normals are uniform on the sphere, offsets uniform in [-1, 1]; whole
     draws are rejected until the genericity margin reaches 0.05. The
     arrangement is rescaled so that every vertex lies in [-1, 1]^d.
+    ``InvalidParameter`` unless 1 <= d <= k and seed >= 0.
     """
-    if not 1 <= d <= k:
-        raise InvalidParameter(f"need 1 <= d <= k, got d={d}, k={k}")
+    if not 1 <= d <= k or seed < 0:
+        raise InvalidParameter(f"need 1 <= d <= k and seed >= 0, got d={d}, k={k}, seed={seed}")
     rng = np.random.default_rng(seed)
     subsets = tuple(itertools.combinations(range(k), d))
     best = 0.0

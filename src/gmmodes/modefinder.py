@@ -14,11 +14,12 @@ is adaptively overrelaxed (Salakhutdinov & Roweis, ICML 2003): a start
 moves by the s solving (A / eta - (1 - 1 / eta) H) s = grad f / f,
 H = Hess f / f, which is the plain step at eta = 1 and along stiff
 directions, and tends to the Newton step along flat and escaping ones as
-eta grows. Polishing is damped Newton, which also yields the Hessian used
-for classification; symmetric elimination of -Hess f / f decides
-concavity and gives the Newton step, and only saddles and near-singular
-Hessians go through eigh. The multistart driver and :func:`ascend` (a
-batch of one) run through that loop; the k = 2 ridgeline oracle needs none.
+eta grows. Polishing is damped Newton; symmetric elimination of
+-Hess f / f decides concavity and gives the Newton step, and only saddles
+and near-singular Hessians go through eigh. Endpoints are classified by the
+generalized eigenvalues of (Hess f / f, A), which do not depend on
+coordinates. The multistart driver and :func:`ascend` (a batch of one) run
+through that loop; the k = 2 ridgeline oracle needs none.
 
 The loop keeps its rows on the last axis, as the kernel computes them:
 points and gradients are (d, m), Hessians (d, d, m), responsibilities
@@ -72,8 +73,8 @@ _MAX_CLIMBS = 500
 _MAX_NEWTON_STEPS = 50
 # A step shorter than this ends climbing, or polishing.
 _STEP_TOLERANCE = 1e-12
-# A Hessian eigenvalue is degenerate when its magnitude is at most this
-# fraction of the largest at the point being classified.
+# A point is degenerate when a generalized eigenvalue of (Hess f / f, A),
+# A = sum_i r_i P_i, has magnitude at most this (:func:`_classified`).
 _DEGENERATE_EIGEN_TOLERANCE = 1e-8
 
 
@@ -336,14 +337,15 @@ def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float
       else the mean-shift step s of :func:`_mean_shift_step` at the row's
       overrelaxation factor eta. An overrelaxed s that is not an ascent
       direction, s . grad f / f <= 0, resets eta to 1 and is replaced by
-      the plain step (ascent rule). A trial that lowers log f by more than
-      the monotone slack is rejected. After a Newton trial the row takes
-      the mean-shift step until it next moves (fall-back rule); after an
-      overrelaxed one eta resets to 1 (reset rule); after a plain one the
-      row retries at 2^-h times the step, h the rejections since it last
-      moved, and the trial at h = 60 is accepted whatever it gives.
+      the plain step (ascent rule). A Newton or overrelaxed trial that
+      lowers log f by more than the monotone slack is rejected: after a
+      Newton one the row takes the mean-shift step until it next moves
+      (fall-back rule), after an overrelaxed one eta resets to 1 (reset
+      rule). A plain trial is always accepted: it maximizes the EM lower
+      bound sum_i r_i(x) log phi_i, so it never lowers log f, and a drop
+      past the slack can only be rounding.
     - Overrelaxation: eta starts at 1 and doubles, up to _OVERRELAX_CAP,
-      after each mean-shift step accepted at full length.
+      after each accepted mean-shift step.
     - Handover to polishing: ||grad f / f|| < 1e3 * gradient_tolerance, a
       step below _STEP_TOLERANCE, or _MAX_CLIMBS climbs.
     - Polishing: damped Newton, until a step below _STEP_TOLERANCE or
@@ -369,7 +371,7 @@ def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float
     steps = np.zeros(n, dtype=int)  # climbs while climbing, Newton steps while polishing
     stalled = np.zeros(n, dtype=bool)  # the last step was below _STEP_TOLERANCE
     eta = np.ones(n)  # overrelaxation of each row's mean-shift step
-    halvings = np.zeros(n, dtype=int)  # h: halved trials rejected since the row last moved
+    halvings = np.zeros(n, dtype=int)  # h: polishing trials halved since the row last moved
     barred = np.zeros(n, dtype=bool)  # a Newton trial was rejected since the row last moved
     cur = _state(mix, x0.copy())
     g_norm = _row_norms(cur[3])  # ||grad f / f|| at cur's rows
@@ -408,7 +410,7 @@ def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float
         if (drop | worse).any():  # rare: without a rejection retry is all False
             settle = worse & (g_norm <= tol)
             retake = drop & (newton | (eta > 1.0))
-            halve = (drop & ~retake & (halvings < 60)) | (worse & ~settle & (halvings < 30))
+            halve = worse & ~settle & (halvings < 30)
             stay = retake | halve | settle
             for a, b in zip(new, cur):
                 a[..., stay] = b[..., stay]
@@ -416,7 +418,7 @@ def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float
             eta[retake & ~newton] = 1.0
         retry = retake | halve
         barred = retry & (barred | (retake & newton))
-        grow = ~retry & ~newton & (halvings == 0)
+        grow = ~retry & ~newton
         np.copyto(eta, np.minimum(2.0 * eta, _OVERRELAX_CAP), where=grow)
         halvings = (halvings + halve) * retry
         # Kept rows read a zero step: a settled row stalls and finishes, a retrying one does not.
@@ -430,18 +432,18 @@ def _ascend_batch(mix: Mixture, X: np.ndarray, opts: AscentOptions, scale: float
 _PROBE_FRACTIONS = (1e-4, 1e-3, 1e-2)
 
 
-def _probe_extremum(mix: Mixture, x: np.ndarray, directions: np.ndarray, scale: float):
-    """Deterministic neighborhood probe for degenerate Hessians.
+def _probe_extremum(mix: Mixture, x: np.ndarray, directions: np.ndarray):
+    """Deterministic neighborhood probe of a degenerate point along the rows
+    of directions (A-unit vectors), scaled by each of _PROBE_FRACTIONS in turn.
 
     Returns "mode" / "antimode" when the center beats (or loses to) every
     probe sample by a margin above float noise, else "degenerate".
     """
     center = mix.log_density(x[None, :])[0]
+    margin = 64.0 * np.finfo(float).eps * max(abs(center), 1.0)
     for frac in _PROBE_FRACTIONS:
-        r = frac * scale
-        samples = mix.log_density(x[None, :] + r * directions)
+        samples = mix.log_density(x[None, :] + frac * directions)
         hi, lo = np.max(samples), np.min(samples)
-        margin = 64.0 * np.finfo(float).eps * max(abs(center), 1.0)
         if center - hi > margin:
             return "mode"
         if lo - center > margin:
@@ -451,26 +453,38 @@ def _probe_extremum(mix: Mixture, x: np.ndarray, directions: np.ndarray, scale: 
     return "degenerate"
 
 
-def _classified(mix: Mixture, end: _Endpoints, rows, counts, scale: float) -> list[CriticalPoint]:
+def _classified(mix: Mixture, end: _Endpoints, rows, counts) -> list[CriticalPoint]:
     """CriticalPoints of the given rows of end, converged_from the matching
-    counts, classified by one batched eigvalsh of their Hess f / f; only a
-    degenerate spectrum takes its own eigh and neighborhood probe."""
-    eigs = np.linalg.eigvalsh(end.hess[rows])
-    d = eigs.shape[1]
-    tol = _DEGENERATE_EIGEN_TOLERANCE * np.abs(eigs).max(axis=1, keepdims=True)
-    degenerate = (np.abs(eigs) <= tol).any(axis=1)
-    negative = (eigs < -tol).sum(axis=1)
+    counts, classified by the eigenvalues w of L^-1 H L^-T, H = Hess f / f,
+    A = sum_i r_i P_i = L L^T, from one batched eigvalsh: those of the pencil
+    (H, A), which have the signs of H's own (Sylvester), are >= -1 and do not
+    change under an affine map. A row with some |w| <= _DEGENERATE_EIGEN_TOLERANCE is
+    degenerate, probed along +- its A-unit generalized eigenvectors L^-T U,
+    or not probed if A has no Cholesky factor in floats."""
+    x, hess = end.x[rows], end.hess[rows]
+    A = np.einsum("km,kab->mab", mix.responsibilities(x), mix._precisions)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:  # row by row: a row without a factor stays NaN
+        L = np.full_like(A, np.nan)
+        for j, a in enumerate(A):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                L[j] = np.linalg.cholesky(a)
+    factored = ~np.isnan(L[:, 0, 0])
+    Li = np.linalg.inv(np.where(factored[:, None, None], L, np.eye(mix.dim)))
+    B = Li @ hess @ np.swapaxes(Li, 1, 2)
+    w, eigs = np.linalg.eigvalsh(np.stack([B, hess]))
+    degenerate = (np.abs(w) <= _DEGENERATE_EIGEN_TOLERANCE).any(axis=1) | ~factored
+    negative = (w < -_DEGENERATE_EIGEN_TOLERANCE).sum(axis=1)
     points = []
-    for i, e, degen, neg, count in zip(rows, eigs, degenerate, negative, counts):
-        kind = "mode" if neg == d else "antimode" if neg == 0 else "saddle"
-        if degen:
-            # Degenerate spectrum: resolve strict local extrema by direct
-            # probing along coordinate axes and Hessian eigenvectors.
-            V = np.linalg.eigh(end.hess[i])[1]
-            kind = _probe_extremum(mix, end.x[i], np.concatenate([np.eye(d), -np.eye(d), V.T, -V.T]), scale)
+    for j, (i, neg, count) in enumerate(zip(rows, negative, counts)):
+        kind = "mode" if neg == mix.dim else "antimode" if neg == 0 else "saddle"
+        if degenerate[j]:
+            V = np.linalg.eigh(B[j])[1].T @ Li[j]  # rows: the A-unit generalized eigenvectors
+            kind = _probe_extremum(mix, x[j], np.concatenate([V, -V])) if factored[j] else "degenerate"
         points.append(CriticalPoint(
-            end.x[i].copy(), float(end.log_density[i]), float(end.grad_norm[i]), e.copy(), kind,
-            int(neg) if kind == "saddle" else None, int(count), bool(end.converged[i]), bool(degen),
+            x[j].copy(), float(end.log_density[i]), float(end.grad_norm[i]), eigs[j].copy(), kind,
+            int(neg) if kind == "saddle" else None, int(count), bool(end.converged[i]), bool(degenerate[j]),
         ))
     return points
 
@@ -478,15 +492,15 @@ def _classified(mix: Mixture, end: _Endpoints, rows, counts, scale: float) -> li
 def ascend(mix: Mixture, x0, opts: AscentOptions | None = None, scale: float | None = None) -> CriticalPoint:
     """Run the ascent from one start and classify the endpoint.
 
-    ``scale`` is the search-box diameter used for Newton step capping and
-    degenerate probing; it defaults to a spread estimate from the means.
+    ``scale`` is the search-box diameter that caps Newton steps at half its
+    length; it defaults to a spread estimate from the means.
     This is :func:`find_critical_points`' per-start path, as a batch of one.
     """
     opts = opts or AscentOptions()
     X = _as_starts(mix, np.ravel(x0)[None, :])
     if scale is None:
         scale = _default_scale(mix)
-    return _classified(mix, _ascend_batch(mix, X, opts, scale), [0], [1], scale)[0]
+    return _classified(mix, _ascend_batch(mix, X, opts, scale), [0], [1])[0]
 
 
 def _default_scale(mix: Mixture) -> float:
@@ -582,7 +596,7 @@ def default_starts(scenario, budget: int, seed: int = 0) -> np.ndarray:
 # Multistart driver
 # ----------------------------------------------------------------------
 
-def _distinct_critical_points(mix: Mixture, pol: _Endpoints, scale: float, radius: float):
+def _distinct_critical_points(mix: Mixture, pol: _Endpoints, radius: float):
     """Cluster the converged rows of pol and classify each cluster's row of
     smallest ||grad f / f||.
 
@@ -601,7 +615,7 @@ def _distinct_critical_points(mix: Mixture, pol: _Endpoints, scale: float, radiu
         best.append(cluster[np.argmin(pol.grad_norm[cluster])])
         counts.append(cluster.size)
         unassigned &= ~members
-    return _classified(mix, pol, best, counts, scale)
+    return _classified(mix, pol, best, counts)
 
 
 def find_critical_points(
@@ -631,7 +645,7 @@ def find_critical_points(
     radius = opts.dedup_radius if opts.dedup_radius is not None else 1e-5 * scale
 
     pol = _ascend_batch(mix, X, opts, scale)
-    critical_points = _distinct_critical_points(mix, pol, scale, radius)
+    critical_points = _distinct_critical_points(mix, pol, radius)
 
     mode_count = sum(1 for c in critical_points if c.kind == "mode")
     up = bounds.upper(mix.dim, mix.k)
@@ -741,21 +755,6 @@ def _on_halves(halves: list[_RidgelineHalf], f, theta: np.ndarray, *shape: int) 
         if rows.any():
             out[rows] = f(half, s[rows])
     return out
-
-
-def _ridgeline_k2(mix: Mixture):
-    """Closed-form ridgeline of a 2-component mixture: t -> x*(t) for
-    alpha = (t, 1 - t), vectorized, from the first of
-    :func:`_ridgeline_halves` up to t = 1/2 (s = t), then the second (s = 1 - t)."""
-    halves = _ridgeline_halves(mix)
-
-    def curve(t):
-        t = np.asarray(t, dtype=float)
-        out, first = np.empty(t.shape + (mix.dim,)), t <= 0.5
-        out[first], out[~first] = halves[0].points(t[first]), halves[1].points(1.0 - t[~first])
-        return out
-
-    return curve
 
 
 def _ridgeline_log_residual(halves: list[_RidgelineHalf], theta: np.ndarray, slope: bool = True):

@@ -21,6 +21,12 @@ workload draws at that generator seed, in order, from one
 A A^T + 0.3 I with A N(0, 1), a weight U(0.15, 0.85) and means
 N(0, 1.5^2).
 
+``stretched_product(c, seed)`` is ``product_of_triangles(2, 0.72)``'s
+mixture (k = 9, d = 4, 16 modes) through M = Q diag(1, c^(1/3), c^(2/3), c),
+with M; its covariance condition is about c^2. Q is the QR factor of an
+N(0, 1) 4 x 4 draw from ``default_rng(seed)``, sign-fixed as above, or the
+plain QR factor with ``signs=False``.
+
 ``census`` is the Morse census of a list of critical points,
 ``hessian_kind`` the kind a point's Hessian eigenvalue signs give, and
 ``census_sweep`` checks the k = 2 oracle's census and kinds over a list of
@@ -29,7 +35,8 @@ mixtures.
 
 import numpy as np
 
-from gmmodes.mixture import make_mixture
+from gmmodes.constructions import product_of_triangles
+from gmmodes.mixture import affine_transform, make_mixture
 from gmmodes.modefinder import ridgeline_oracle_k2
 
 
@@ -75,6 +82,13 @@ def oracle_k2_mixtures(seed: int):
         weight = float(rng.uniform(0.15, 0.85))
         mixes.append(make_mixture([weight, 1 - weight], rng.normal(scale=1.5, size=(2, d)), covs))
     return mixes
+
+
+def stretched_product(c: float, seed: int, signs: bool = True):
+    rng = np.random.default_rng(seed)
+    Q = _rotation(rng, 4) if signs else np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    M = Q @ np.diag(c ** (np.arange(4) / 3))
+    return affine_transform(product_of_triangles(2, 0.72).mixture, M, np.zeros(4)), M
 
 
 def census(points, d):

@@ -28,6 +28,7 @@ from gmmodes.modefinder import (
     ridgeline_oracle_k2,
     verify_ridgeline_membership,
 )
+from sweeps import stretched_product
 
 MEASURED_COUNTS = []  # (d, k, mode_count) pairs accumulated for criterion 11
 
@@ -257,21 +258,20 @@ def test_criterion_10_structural_invariants():
     verdict(10, "affine invariance, hull membership, ridgeline residuals", ok)
 
 
-@pytest.mark.parametrize("c", [1e2, 1e3])
+@pytest.mark.parametrize("c", [1e2, 1e3, 1e4])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_product_modes_survive_ill_conditioned_maps(c, seed):
     # Criterion 10's maps are well conditioned. Here the product of triangles
     # and its default starts go through M = Q diag(1, c^(1/3), c^(2/3), c)
-    # with a random rotation Q, a covariance condition of about c^2. An
-    # affine map carries critical points to critical points, so all 16 modes
-    # stay and every start converges. From c = 1e4 on, the degenerate test,
-    # relative to the largest Hessian eigenvalue, flips single modes.
-    scen = product_of_triangles(2, 0.72)
-    starts = default_starts(scen, budget=2250, seed=0)
-    Q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
-    M = Q @ np.diag(c ** (np.arange(4) / 3))
-    rep = find_critical_points(affine_transform(scen.mixture, M, np.zeros(4)), starts @ M.T)
+    # with a random rotation Q (plain QR factor), a covariance condition of
+    # about c^2. An affine map carries critical points to critical points, so
+    # all 16 modes stay and every start converges. Classification in the
+    # metric of the EM step does not depend on coordinates, so no point is
+    # flagged degenerate either.
+    mix, M = stretched_product(c, seed, signs=False)
+    rep = find_critical_points(mix, default_starts(product_of_triangles(2, 0.72), budget=2250, seed=0) @ M.T)
     assert (rep.mode_count, rep.starts_converged) == (16, 2250)
+    assert not any(p.degenerate_hessian for p in rep.critical_points)
 
 
 def hull_distance(points, x):

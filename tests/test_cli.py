@@ -13,9 +13,10 @@ import pytest
 import gmmodes
 from gmmodes import bounds, cli
 from gmmodes.cli import main
-from gmmodes.constructions import product_of_triangles, scenario_from_metadata
-from gmmodes.mixture import affine_transform, make_mixture, save_mixture
+from gmmodes.constructions import scenario_from_metadata
+from gmmodes.mixture import make_mixture, save_mixture
 from gmmodes.modefinder import default_starts
+from sweeps import stretched_product
 
 
 def run(capsys, *argv):
@@ -301,13 +302,11 @@ def test_construct_arrangement_metadata(tmp_path, capsys):
 
 
 def _mapped_product():
-    """product_of_triangles(2, 0.72) through M = Q diag(1, c^(1/3), c^(2/3), c),
-    c = 1e8, Q from default_rng(4), as in
+    """The product of triangles stretched at c = 1e8 with Q seed 4
+    (tests/sweeps.py), as in
     test_singular_mean_shift_system_does_not_abort_the_batch: no start of a
     100-start run converges to a mode."""
-    q, r = np.linalg.qr(np.random.default_rng(4).normal(size=(4, 4)))
-    M = (q * np.sign(np.diag(r))) @ np.diag(1e8 ** (np.arange(4) / 3))
-    return affine_transform(product_of_triangles(2, 0.72).mixture, M, np.zeros(4))
+    return stretched_product(1e8, 4)[0]
 
 
 def test_modes_without_a_mode_is_an_error(tmp_path, capsys):
@@ -455,6 +454,7 @@ def _edit_search_box(meta, edit):
         pytest.param(None, None, ["modes", "MIXTURE", "--grad-tol", "inf"], id="modes-infinite-grad-tol"),
         pytest.param(None, None, ["modes", "MIXTURE", "--dedup-radius", "inf"], id="modes-infinite-dedup-radius"),
         pytest.param(None, None, ["bounds", "--d", "-1", "--k", "2"], id="bounds-negative-d"),
+        pytest.param(None, None, ["construct", "arrangement", "--seed", "-1"], id="construct-negative-seed"),
         pytest.param(None, None, ["verify", "--only", "nothing-matches"], id="verify-only-matches-nothing"),
         pytest.param(None, None, ["verify", "--only", "cross", "--starts", "-5"], id="verify-negative-starts"),
     ],

@@ -26,7 +26,8 @@ from gmmodes.modefinder import (
     AscentOptions,
     _newton_roots,
     _ridgeline_halves,
-    _ridgeline_k2,
+    _RidgelineHalf,
+    _on_halves,
     _ridgeline_log_residual,
     ascend,
     _halton,
@@ -37,7 +38,7 @@ from gmmodes.modefinder import (
     ridgeline_point,
     verify_ridgeline_membership,
 )
-from sweeps import census, census_sweep, needle_pair, oracle_k2_mixtures, spectrum_pair
+from sweeps import census, census_sweep, needle_pair, oracle_k2_mixtures, spectrum_pair, stretched_product
 
 
 def random_two_component(rng, d):
@@ -404,12 +405,8 @@ def test_singular_mean_shift_system_does_not_abort_the_batch(seed):
     # M = Q diag(1, c^(1/3), c^(2/3), c), c = 1e8: some climbing rows meet a
     # singular mean-shift system. The run still reports, and those rows
     # count as not converged.
-    scen = product_of_triangles(2, 0.72)
-    starts = default_starts(scen, budget=2250, seed=0)
-    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
-    M = (q * np.sign(np.diag(r))) @ np.diag(1e8 ** (np.arange(4) / 3))
-    mix = affine_transform(scen.mixture, M, np.zeros(4))
-    rep = find_critical_points(mix, starts @ M.T)
+    mix, M = stretched_product(1e8, seed)
+    rep = find_critical_points(mix, default_starts(product_of_triangles(2, 0.72), budget=2250, seed=0) @ M.T)
     assert 0 < rep.starts_converged < rep.starts_used == 2250
     assert rep.mode_count >= 1 and all(p.converged for p in rep.critical_points)
 
@@ -602,8 +599,8 @@ def test_polishing_batch_rows_end_as_alone(monkeypatch, d):
             alone = ascend_batch(mix, X[i : i + 1], opts, scale)
             assert batch.converged[i] == alone.converged[0]
             assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
-            kind = modefinder._classified(mix, batch, [i], [1], scale)[0].kind_label
-            assert kind == modefinder._classified(mix, alone, [0], [1], scale)[0].kind_label
+            kind = modefinder._classified(mix, batch, [i], [1])[0].kind_label
+            assert kind == modefinder._classified(mix, alone, [0], [1])[0].kind_label
     # Polishing rows at a saddle or antimode are not negative definite, so
     # their Newton step still comes from eigh.
     assert sum(rows) > 0
@@ -634,11 +631,11 @@ def test_climbing_rows_that_drop_end_as_alone(monkeypatch):
     monkeypatch.setattr(modefinder, "_state", recorded_state)
     batch = modefinder._ascend_batch(mix, X, opts, scale)
     monkeypatch.undo()
-    kinds = [p.kind_label for p in modefinder._classified(mix, batch, range(len(X)), [1] * len(X), scale)]
+    kinds = [p.kind_label for p in modefinder._classified(mix, batch, range(len(X)), [1] * len(X))]
     for i, x in enumerate(X):
         alone = modefinder._ascend_batch(mix, x[None, :], opts, scale)
         assert np.max(np.abs(batch.x[i] - alone.x[0])) <= 1e-10 * scale
-        assert kinds[i] == modefinder._classified(mix, alone, [0], [1], scale)[0].kind_label
+        assert kinds[i] == modefinder._classified(mix, alone, [0], [1])[0].kind_label
     # Some iteration in which every row climbs keeps some rows in place and
     # moves the others (no row finishes while climbing, so the next
     # iteration holds the same rows in the same order); each kept row moves
@@ -677,7 +674,7 @@ def test_batched_classifier_on_a_mixed_batch(monkeypatch):
         return probes[-1]
 
     monkeypatch.setattr(modefinder, "_probe_extremum", counted)
-    points = modefinder._classified(mix, end, np.arange(n), np.arange(1, n + 1), 5.0)
+    points = modefinder._classified(mix, end, np.arange(n), np.arange(1, n + 1))
     assert probes == ["mode"]
     for i, cp in enumerate(points):
         eigs = np.linalg.eigvalsh(hess[i])
@@ -691,6 +688,25 @@ def test_batched_classifier_on_a_mixed_batch(monkeypatch):
             expected = {2: "mode", 0: "antimode"}.get(neg, f"saddle({neg})")
             assert cp.kind_label == expected == oracle[i].kind_label
     assert points[-1].kind == "mode"
+
+
+def test_the_mode_at_the_behboodian_threshold_is_degenerate():
+    # Equal unit components 2 apart, the default of `gmmodes construct
+    # univariate`: the two modes have just merged (Behboodian 1970), and
+    # f'' = 0 at x = 1. The generalized eigenvalue of (Hess f / f, A) there is
+    # below 1e-8, and the probe settles the point as a mode.
+    scen = univariate_pair(0, 1, 2, 1, 0.5)
+    rep = find_critical_points(scen.mixture, default_starts(scen, budget=500), search_box=scen.search_box)
+    assert [(p.kind, p.degenerate_hessian) for p in rep.critical_points] == [("mode", True)]
+
+
+def test_endpoints_whose_metric_has_no_cholesky_factor_still_report():
+    # At c = 1e10, A = sum_i r_i P_i has no Cholesky factor in floats at some
+    # endpoints. Those rows are reported degenerate without a probe, and the
+    # run returns its report.
+    mix, M = stretched_product(1e10, 0)
+    rep = find_critical_points(mix, default_starts(product_of_triangles(2, 0.72), budget=500, seed=0) @ M.T)
+    assert rep.starts_used == 500 and rep.critical_points
 
 
 def test_find_critical_points_rejects_bad_search_boxes():
@@ -961,6 +977,14 @@ def test_oracle_requires_two_components_invalid_parameter():
         ridgeline_oracle_k2(make_mixture([1.0], [[0.0]], [[[1.0]]]))
 
 
+def ridgeline_curve(mix, t):
+    """x*(t) at the weights t of the first component, evaluated as ``gmmodes
+    ridgeline`` does: at theta = log(t / (1 - t)), -inf at t = 0 and +inf at t = 1."""
+    with np.errstate(divide="ignore"):
+        theta = np.log(t) - np.log1p(-t)
+    return _on_halves(_ridgeline_halves(mix), _RidgelineHalf.points, theta, mix.dim)
+
+
 def _anisotropic_pair(rng, d, ratio):
     """Two components with independently rotated covariances whose
     eigenvalues run geometrically from 1 to ratio (variances 1 and ratio
@@ -1003,7 +1027,7 @@ def test_ridgeline_curve_matches_mpmath(d, ratio):
     t = np.array([0.0, 1e-9, 1e-3, 0.25, 0.5, 0.75, 1 - 1e-3, 1 - 1e-9, 1.0])
     for _ in range(3):
         mix = _anisotropic_pair(rng, d, ratio)
-        x = _ridgeline_k2(mix)(t)
+        x = ridgeline_curve(mix, t)
         x_ref = _mp_ridgeline(mix, t)
         x_err = np.linalg.norm(x - x_ref, axis=1) / np.linalg.norm(x_ref, axis=1)
         assert np.max(x_err) <= 1e-10
@@ -1015,7 +1039,7 @@ def test_ridgeline_curve_matches_ridgeline_point():
     for d in (1, 2, 3, 4):
         mix = random_two_component(rng, d)
         covs = [c.cov for c in mix.components]
-        x = _ridgeline_k2(mix)(t)
+        x = ridgeline_curve(mix, t)
         for ti, xi in zip(t, x):
             expect = ridgeline_point(mix.means, covs, [ti, 1.0 - ti])
             assert np.max(np.abs(xi - expect)) <= 1e-12 * max(1.0, np.max(np.abs(expect)))
@@ -1061,7 +1085,7 @@ def test_closed_form_residual_matches_kernel():
             rng = np.random.default_rng(int(100 * d + math.log10(ratio)))
             cases += [_anisotropic_pair(rng, d, ratio) for _ in range(3)]
     for mix in cases:
-        x = _ridgeline_k2(mix)(t)
+        x = ridgeline_curve(mix, t)
         lt, kernel = mix.log_terms(x), mix.responsibilities(x)[0] - t
         G = _ridgeline_log_residual(_ridgeline_halves(mix), theta, slope=False)
         assert np.all(np.abs(G + theta - (lt[0] - lt[1])) <= 1e-14 * (1.0 + np.max(np.abs(lt), axis=0)))
@@ -1125,8 +1149,7 @@ def test_oracle_brackets_sign_of_log_density_slope():
         cases.append(random_two_component(rng, int(rng.integers(1, 4))))
     t, h = np.linspace(0.0, 1.0, 4000)[1:-1], 1e-6
     for mix in cases:
-        curve = _ridgeline_k2(mix)
-        log_f = lambda s: mix.log_density(curve(s))
+        log_f = lambda s: mix.log_density(ridgeline_curve(mix, s))
         slope = (log_f(t + h) - log_f(t - h)) / (2 * h)
         slope_2h = (log_f(t + 2 * h) - log_f(t - 2 * h)) / (4 * h)
         err = np.abs(slope - slope_2h) + 1e-15 * (1.0 + np.abs(log_f(t))) / h
